@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Literal
 
-from .linear import LinComb, Scalar
+from .linear import LinComb, Scalar, normalize
 
 __all__ = [
     "coproduct_add",
@@ -55,9 +56,9 @@ def coproduct_add_unrenorm(n: int) -> LinComb:
     return LinComb({(r, n - r): math.comb(n, r) for r in range(n + 1)})
 
 
-def counit_add(n: int) -> Fraction:
+def counit_add(n: int) -> int:
     _check_nonneg(n)
-    return Fraction(1 if n == 0 else 0)
+    return 1 if n == 0 else 0
 
 
 def antipode_add(n: int) -> int:
@@ -67,7 +68,7 @@ def antipode_add(n: int) -> int:
 
 
 def convolve_add(f: Cochain, g: Cochain, n: int,
-                 codomain: Literal["scalar", "monoid"] = "scalar") -> Fraction:
+                 codomain: Literal["scalar", "monoid"] = "scalar") -> Scalar:
     """Convolution of two maps through the splitting coproduct.
 
     codomain="scalar": sum over splits of f(r)*g(n-r)  (scalar-valued maps);
@@ -75,22 +76,24 @@ def convolve_add(f: Cochain, g: Cochain, n: int,
     through the addition monoid itself).
     """
     _check_nonneg(n)
+    if codomain not in ("scalar", "monoid"):
+        raise ValueError(f"unknown codomain product {codomain!r}")
+    fs = [normalize(f(r)) for r in range(n + 1)]
+    gs = [normalize(g(n - r)) for r in range(n + 1)]
     if codomain == "scalar":
-        return Fraction(sum(Fraction(f(r)) * Fraction(g(n - r)) for r in range(n + 1)))
-    if codomain == "monoid":
-        return Fraction(sum(Fraction(f(r)) + Fraction(g(n - r)) for r in range(n + 1)))
-    raise ValueError(f"unknown codomain product {codomain!r}")
+        return normalize(sum(map(mul, fs, gs)))
+    return normalize(sum(fs) + sum(gs))
 
 
 def cochain_inverse_add(phi: Cochain) -> Cochain:
     """Inverse under monoid-valued convolution: simply the sign flip."""
-    return lambda i: -Fraction(phi(i))
+    return lambda i: -normalize(phi(i))
 
 
 def is_additive_cocycle(phi: Cochain, upto: int) -> bool:
     """True iff phi(n+m) = phi(n) + phi(m) on 0..upto, i.e. phi(n) = n*phi(1)."""
     return all(
-        Fraction(phi(n + m)) == Fraction(phi(n)) + Fraction(phi(m))
+        normalize(phi(n + m)) == normalize(phi(n)) + normalize(phi(m))
         for n in range(upto + 1)
         for m in range(n, upto + 1)
     )
@@ -125,7 +128,7 @@ def additive_compat(n: int, m: int) -> tuple[LinComb, LinComb, bool]:
 
 
 class PowerSeries:
-    """Truncated power series with exact coefficients.
+    """Truncated power series with exact (int or Fraction) coefficients.
 
     basis="ordinary": Cauchy product  h_n = sum f_r g_{n-r}.
     basis="divided":  weighted product h_n = sum C(n,r) f_r g_{n-r}.
@@ -137,10 +140,10 @@ class PowerSeries:
     def __init__(self, coeffs, basis: Literal["ordinary", "divided"] = "ordinary"):
         if basis not in ("ordinary", "divided"):
             raise ValueError(f"unknown basis {basis!r}")
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
+        self.coeffs = tuple(map(normalize, coeffs))
         self.basis = basis
 
-    def _trimmed(self) -> tuple[Fraction, ...]:
+    def _trimmed(self) -> tuple[Scalar, ...]:
         cs = self.coeffs
         k = len(cs)
         while k and cs[k - 1] == 0:
@@ -162,7 +165,7 @@ class PowerSeries:
         if self.basis == "ordinary":
             return self
         return PowerSeries(
-            [c / math.factorial(n) for n, c in enumerate(self.coeffs)], "ordinary"
+            [Fraction(c, math.factorial(n)) for n, c in enumerate(self.coeffs)], "ordinary"
         )
 
     def to_divided(self) -> "PowerSeries":
@@ -178,12 +181,11 @@ def series_multiply(f: PowerSeries, g: PowerSeries) -> PowerSeries:
     if f.basis != g.basis:
         raise ValueError("cannot multiply series with different basis tags")
     n = min(len(f.coeffs), len(g.coeffs))
+    a, rev_b = f.coeffs[:n], g.coeffs[:n][::-1]
     out = []
     for k in range(n):
-        if f.basis == "ordinary":
-            out.append(sum((f.coeffs[r] * g.coeffs[k - r] for r in range(k + 1)),
-                           Fraction(0)))
-        else:
-            out.append(sum((math.comb(k, r) * f.coeffs[r] * g.coeffs[k - r]
-                            for r in range(k + 1)), Fraction(0)))
+        terms = map(mul, a[:k + 1], rev_b[n - 1 - k:])  # f_r * g_(k-r), r = 0..k
+        if f.basis == "divided":
+            terms = map(mul, terms, (math.comb(k, r) for r in range(k + 1)))
+        out.append(sum(terms))
     return PowerSeries(out, f.basis)

@@ -9,11 +9,10 @@ product, and the per-prime exponentiation bridge to the additive structure.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cache
 from typing import Callable
 
-from .linear import LinComb, Scalar
+from .linear import LinComb, Scalar, exact_div, normalize
 from .nat import divisors, factorize, is_prime, moebius, omega_grade
 
 __all__ = [
@@ -32,6 +31,7 @@ __all__ = [
     "moebius",
     "dirichlet_convolve",
     "dirichlet_inverse",
+    "push_inverse",
     "antipode_mul",
     "antipode_unrenorm",
     "coboundary2_mul",
@@ -60,8 +60,9 @@ def _check_positive(n: int) -> None:
 class ArithFn:
     """A function on positive integers with a value cache and convolution algebra.
 
-    The evaluator must be total and deterministic; values are memoized.  The
-    multiplicativity hints are advisory labels, checkable via the is_* methods.
+    The evaluator must be total and deterministic; values are memoized as
+    exact scalars (int when integral, else Fraction).  The multiplicativity
+    hints are advisory labels, checkable via the is_* methods.
     """
 
     def __init__(self, fn: Callable[[int], Scalar], name: str = "?",
@@ -71,19 +72,37 @@ class ArithFn:
         self.name = name
         self.multiplicative = multiplicative
         self.completely_multiplicative = completely_multiplicative
-        self._cache: dict[int, Fraction] = {}
+        self._cache: dict[int, Scalar] = {}
         self._inverse: "ArithFn | None" = None
+        # set on a function made by inverse(): the function it inverts, and
+        # the n through which the bulk solve in values() has filled the cache
+        self._inverts: "ArithFn | None" = None
+        self._filled = 0
 
-    def __call__(self, n: int) -> Fraction:
+    def __call__(self, n: int) -> Scalar:
         _check_positive(n)
         v = self._cache.get(n)
         if v is None:
-            v = Fraction(self._fn(n))
-            self._cache[n] = v
+            v = self._cache[n] = normalize(self._fn(n))
         return v
 
-    def values(self, upto: int) -> list[Fraction]:
-        return [self(n) for n in range(1, upto + 1)]
+    def values(self, upto: int) -> list[Scalar]:
+        """f(1), ..., f(upto).  An inverse solves the missing stretch in bulk,
+        extending the stretch an earlier call solved."""
+        cache = self._cache
+        if self._inverts is not None and upto > self._filled:
+            known = [0] + [cache[n] for n in range(1, self._filled + 1)]
+            g = push_inverse([0] + self._inverts.values(upto), known, upto)
+            for n in range(self._filled + 1, upto + 1):
+                cache[n] = g[n]
+            self._filled = upto
+        out = []
+        for n in range(1, upto + 1):
+            v = cache.get(n)
+            if v is None:
+                v = cache[n] = normalize(self._fn(n))
+            out.append(v)
+        return out
 
     def is_multiplicative(self, upto: int) -> bool:
         return all(
@@ -101,28 +120,31 @@ class ArithFn:
         )
 
     def inverse(self) -> "ArithFn":
-        """Convolutive inverse, solved by the triangular recursion."""
+        """Convolutive inverse.  A single value is pulled through the
+        triangular recursion over divisors; values() solves a whole stretch
+        by push_inverse."""
         if self._inverse is not None:
             return self._inverse
-        if self(1) == 0:
+        f, f1 = self, self(1)
+        if f1 == 0:
             raise ValueError(f"{self.name} has value 0 at 1 and is not invertible")
-        f = self
-        inv_cache: dict[int, Fraction] = {1: 1 / f(1)}
 
-        def g(n: int) -> Fraction:
-            v = inv_cache.get(n)
+        def g(n: int) -> Scalar:
+            v = cache.get(n)
             if v is None:
-                acc = Fraction(0)
+                acc = 0
                 for d in divisors(n):
                     if d > 1:
                         acc += f(d) * g(n // d)
-                v = -acc / f(1)
-                inv_cache[n] = v
+                v = cache[n] = exact_div(-acc, f1)
             return v
 
-        self._inverse = ArithFn(g, name=f"{self.name}^-1")
-        self._inverse._inverse = self
-        return self._inverse
+        inv = ArithFn(g, name=f"{self.name}^-1")
+        cache = inv._cache
+        cache[1] = exact_div(1, f1)
+        inv._inverse, inv._inverts = self, self
+        self._inverse = inv
+        return inv
 
     def __repr__(self) -> str:
         return f"ArithFn({self.name})"
@@ -146,10 +168,38 @@ def id_power(k: int) -> ArithFn:
 
 
 def dirichlet_convolve(f: Callable[[int], Scalar], g: Callable[[int], Scalar],
-                       n: int) -> Fraction:
+                       n: int) -> Scalar:
     _check_positive(n)
-    return sum((Fraction(f(d)) * Fraction(g(n // d)) for d in divisors(n)),
-               Fraction(0))
+    return normalize(sum(normalize(f(d)) * normalize(g(n // d)) for d in divisors(n)))
+
+
+def push_inverse(f: list[Scalar], g: list[Scalar], upto: int) -> list[Scalar]:
+    """Extend g, the Dirichlet inverse of f, to g(1..upto) in place.
+
+    Both lists are indexed from 1 (index 0 unused).  f holds f(1..upto) with
+    f(1) != 0, g holds the inverse's known prefix g(1..len(g)-1), possibly
+    empty.  Instead of pulling the divisors of each n, every solved g(n) is
+    pushed onto its multiples, acc[n*k] += f(k) * g(n), so by the time the
+    loop reaches n its sum is complete and g(n) = ([n = 1] - acc[n]) / f(1).
+    Zeros of f and g are skipped; values stay int while f(1) divides them.
+    """
+    done = len(g) - 1
+    f1 = f[1]
+    acc = [0] * (upto + 1)
+    g.extend([0] * (upto - done))
+    for n in range(1, upto + 1):
+        if n > done:
+            g[n] = gn = exact_div((1 if n == 1 else 0) - acc[n], f1)
+            lo = 2
+        else:
+            gn = g[n]
+            lo = done // n + 1  # multiples at or below done are solved already
+        hi = upto // n
+        if gn and lo <= hi:
+            for t, fk in zip(range(lo * n, upto + 1, n), f[lo:hi + 1]):
+                if fk:
+                    acc[t] += fk * gn
+    return g
 
 
 def dirichlet_inverse(f: ArithFn | Callable[[int], Scalar],
@@ -179,9 +229,19 @@ def coproduct_mul_proper(n: int) -> LinComb:
     return LinComb({(d, n // d): 1 for d in divisors(n) if 1 < d < n})
 
 
-def counit_mul(n: int) -> Fraction:
+def counit_mul(n: int) -> int:
     _check_positive(n)
-    return Fraction(1 if n == 1 else 0)
+    return 1 if n == 1 else 0
+
+
+def _unrenorm_terms(n: int) -> dict[tuple[int, int], int]:
+    """The weighted coproduct of n as a plain dict: weight prod_i C(r_i, s_i)
+    on the key (prod p_i^s_i, prod p_i^(r_i-s_i))."""
+    terms = {(1, 1): 1}
+    for p, r in factorize(n):
+        terms = {(a * p**s, b * p ** (r - s)): w * math.comb(r, s)
+                 for (a, b), w in terms.items() for s in range(r + 1)}
+    return terms
 
 
 def coproduct_mul_unrenorm(n: int) -> LinComb:
@@ -189,11 +249,7 @@ def coproduct_mul_unrenorm(n: int) -> LinComb:
     primes: weight prod_i C(r_i, s_i) on the key (prod p_i^s_i, prod p_i^(r_i-s_i)).
     """
     _check_positive(n)
-    out = LinComb.single((1, 1))
-    for p, r in factorize(n):
-        block = LinComb({(p**s, p ** (r - s)): math.comb(r, s) for s in range(r + 1)})
-        out = out.bilinear(block, lambda a, b: LinComb.single((a[0] * b[0], a[1] * b[1])))
-    return out
+    return LinComb(_unrenorm_terms(n))
 
 
 def coproduct_mul_unrenorm_iterated(p: int, r: int) -> LinComb:
@@ -220,15 +276,11 @@ def coproduct_mul_unrenorm_iterated(p: int, r: int) -> LinComb:
 
 
 @cache
-def _antipode_mul_rec(n: int) -> Fraction:
+def _antipode_mul_rec(n: int) -> int:
     # triangular solve of sum_{d|n} S(d)*(n/d) = delta_{1,n}
     if n == 1:
-        return Fraction(1)
-    acc = Fraction(0)
-    for d in divisors(n):
-        if d < n:
-            acc += _antipode_mul_rec(d) * (n // d)
-    return -acc
+        return 1
+    return -sum(_antipode_mul_rec(d) * (n // d) for d in divisors(n) if d < n)
 
 
 def antipode_mul(n: int, check: bool = True) -> int:
@@ -246,15 +298,12 @@ def antipode_mul(n: int, check: bool = True) -> int:
 
 
 @cache
-def _antipode_unrenorm_rec(n: int) -> Fraction:
+def _antipode_unrenorm_rec(n: int) -> int:
     # same triangular solve against the weighted coproduct
     if n == 1:
-        return Fraction(1)
-    acc = Fraction(0)
-    for (a, b), w in coproduct_mul_unrenorm(n):
-        if a != n:
-            acc += w * _antipode_unrenorm_rec(a) * b
-    return -acc
+        return 1
+    return -sum(w * _antipode_unrenorm_rec(a) * b
+                for (a, b), w in _unrenorm_terms(n).items() if a != n)
 
 
 def antipode_unrenorm(n: int, check: bool = True) -> int:
@@ -270,7 +319,7 @@ def antipode_unrenorm(n: int, check: bool = True) -> int:
 # cochain calculus
 
 
-def coboundary2_mul(phi: ArithFn, n: int, m: int) -> Fraction:
+def coboundary2_mul(phi: ArithFn, n: int, m: int) -> Scalar:
     """Second coboundary of a 1-cochain under the convolution complex:
 
         sum over d|n, l|m of phi(d) phi(l) phi_inv((n/d)(m/l)).
@@ -278,7 +327,7 @@ def coboundary2_mul(phi: ArithFn, n: int, m: int) -> Fraction:
     _check_positive(n)
     _check_positive(m)
     inv = phi.inverse()
-    total = Fraction(0)
+    total = 0
     for d in divisors(n):
         pd = phi(d)
         if pd == 0:
@@ -289,46 +338,43 @@ def coboundary2_mul(phi: ArithFn, n: int, m: int) -> Fraction:
             if pl == 0:
                 continue
             total += pd * pl * inv(a * (m // l))
-    return total
+    return normalize(total)
 
 
-def pointwise_coboundary2(phi: ArithFn, n: int, m: int) -> Fraction:
+def pointwise_coboundary2(phi: ArithFn, n: int, m: int) -> Scalar:
     """Group-style coboundary phi(n)phi(m) - phi(nm); identically zero
     exactly when phi is completely multiplicative."""
     _check_positive(n)
     _check_positive(m)
-    return Fraction(phi(n)) * phi(m) - phi(n * m)
+    return normalize(phi(n) * phi(m) - phi(n * m))
 
 
 TwoCochain = Callable[[int, int], Scalar]
 
 
-def two_cochain_convolve(c: TwoCochain, cp: TwoCochain, n: int, m: int) -> Fraction:
+def two_cochain_convolve(c: TwoCochain, cp: TwoCochain, n: int, m: int) -> Scalar:
     """Legwise convolution of two 2-cochains through the divisor coproduct."""
     _check_positive(n)
     _check_positive(m)
-    return sum(
-        (Fraction(c(d, l)) * Fraction(cp(n // d, m // l))
-         for d in divisors(n) for l in divisors(m)),
-        Fraction(0),
-    )
+    return normalize(sum(normalize(c(d, l)) * normalize(cp(n // d, m // l))
+                         for d in divisors(n) for l in divisors(m)))
 
 
-def two_cochain_inverse(c: TwoCochain, upto: int) -> dict[tuple[int, int], Fraction]:
+def two_cochain_inverse(c: TwoCochain, upto: int) -> dict[tuple[int, int], Scalar]:
     """Table of the legwise-convolution inverse of c on 1..upto squared."""
-    c11 = Fraction(c(1, 1))
+    c11 = normalize(c(1, 1))
     if c11 == 0:
         raise ValueError("2-cochain with c(1,1) = 0 is not invertible")
-    inv: dict[tuple[int, int], Fraction] = {}
+    inv: dict[tuple[int, int], Scalar] = {}
     for n in range(1, upto + 1):
         for m in range(1, upto + 1):
-            acc = Fraction(1 if n == 1 and m == 1 else 0)
+            acc = 1 if n == 1 and m == 1 else 0
             for d in divisors(n):
                 for l in divisors(m):
                     if d == 1 and l == 1:
                         continue
-                    acc -= Fraction(c(d, l)) * inv[(n // d, m // l)]
-            inv[(n, m)] = acc / c11
+                    acc -= normalize(c(d, l)) * inv[(n // d, m // l)]
+            inv[(n, m)] = exact_div(acc, c11)
     return inv
 
 
@@ -354,7 +400,7 @@ def branch_derive(p: int, n: int) -> LinComb:
     return LinComb.single(n // p, r)
 
 
-def sharp_multiply(n: int, m: int) -> tuple[Fraction, int]:
+def sharp_multiply(n: int, m: int) -> tuple[int, int]:
     """Divided-power product on the sharp basis: returns (coefficient, n*m).
 
     The coefficient is prod_i C(r_i + s_i, r_i) over the shared prime support.
@@ -366,40 +412,37 @@ def sharp_multiply(n: int, m: int) -> tuple[Fraction, int]:
     coeff = 1
     for p in set(rn) | set(rm):
         coeff *= math.comb(rn.get(p, 0) + rm.get(p, 0), rn.get(p, 0))
-    return Fraction(coeff), n * m
+    return coeff, n * m
 
 
 # ---------------------------------------------------------------------------
 # the weighted pairing
 
 
-def pairing_unrenorm(n: int, m: int) -> Fraction:
+def pairing_unrenorm(n: int, m: int) -> int:
     """Diagonal pairing: prod_i r_i! when n = m, zero otherwise."""
     _check_positive(n)
     _check_positive(m)
     if n != m:
-        return Fraction(0)
-    return Fraction(math.prod(math.factorial(r) for _, r in factorize(n)))
+        return 0
+    return math.prod(math.factorial(r) for _, r in factorize(n))
 
 
 @cache
-def pairing_unrenorm_laplace(n: int, m: int) -> Fraction:
+def pairing_unrenorm_laplace(n: int, m: int) -> int:
     """Same pairing, computed by peeling one prime off the left argument and
     expanding the right argument through the weighted coproduct.
     """
     _check_positive(n)
     _check_positive(m)
     if n == 1:
-        return Fraction(1 if m == 1 else 0)
+        return 1 if m == 1 else 0
     if is_prime(n):
-        return Fraction(1 if m == n else 0)
+        return 1 if m == n else 0
     p = factorize(n)[0][0]
     rest = n // p
-    total = Fraction(0)
-    for (a, b), w in coproduct_mul_unrenorm(m):
-        if a == p:
-            total += w * pairing_unrenorm_laplace(rest, b)
-    return total
+    return sum(w * pairing_unrenorm_laplace(rest, b)
+               for (a, b), w in _unrenorm_terms(m).items() if a == p)
 
 
 # ---------------------------------------------------------------------------

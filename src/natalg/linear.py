@@ -12,7 +12,33 @@ from typing import Any, Callable, Iterator
 
 Scalar = int | Fraction
 
+# normalize and exact_div, the scalar helpers of the int-first layers
+# (dirichlet, series, additive), run once per coefficient; they stay out of
+# __all__ so that bench/layertrace.py counts their time in their callers.
 __all__ = ["LinComb"]
+
+
+def normalize(c) -> Scalar:
+    """The exact scalar for c: an integral value as int, any other as Fraction.
+
+    Fraction(k, 1) folds to k; floats, Decimals and strings convert exactly
+    (normalize(0.5) is Fraction(1, 2)), so no float ever comes back.
+    """
+    if type(c) is int:
+        return c
+    if isinstance(c, int):  # bool and other int subclasses
+        return int(c)
+    if not isinstance(c, Fraction):
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def exact_div(a: Scalar, b: Scalar) -> Scalar:
+    """a / b in exact arithmetic: an int when the quotient is integral."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return normalize(Fraction(a) / Fraction(b))
 
 
 class LinComb:

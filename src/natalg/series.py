@@ -6,9 +6,8 @@ Convergence is out of scope by design: these are formal objects only.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .linear import Scalar
+from .dirichlet import push_inverse
+from .linear import Scalar, normalize
 from .nat import divisors, is_prime, moebius
 
 __all__ = [
@@ -30,12 +29,12 @@ __all__ = [
 
 
 class DirichletSeries:
-    """Truncated coefficient vector (a_1, ..., a_N)."""
+    """Truncated coefficient vector (a_1, ..., a_N) of exact scalars."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        cs = tuple(Fraction(c) for c in coeffs)
+        cs = tuple(map(normalize, coeffs))
         if not cs:
             raise ValueError("a series needs at least the coefficient at index 1")
         self.coeffs = cs
@@ -43,7 +42,7 @@ class DirichletSeries:
     def __len__(self) -> int:
         return len(self.coeffs)
 
-    def __getitem__(self, n: int) -> Fraction:
+    def __getitem__(self, n: int) -> Scalar:
         # 1-based, like everything else in the divisor world
         if n < 1 or n > len(self.coeffs):
             raise IndexError(f"coefficient index {n} outside 1..{len(self.coeffs)}")
@@ -98,24 +97,21 @@ def hadamard(f: DirichletSeries, g: DirichletSeries) -> DirichletSeries:
 
 
 def series_mul(f: DirichletSeries, g: DirichletSeries) -> DirichletSeries:
+    """Divisor convolution, each f_d pushed onto the multiples d*e <= k."""
     k = min(len(f), len(g))
-    out = []
-    for n in range(1, k + 1):
-        out.append(sum((f[d] * g[n // d] for d in divisors(n)), Fraction(0)))
-    return DirichletSeries(out)
+    out = [0] * (k + 1)
+    for d, fd in enumerate(f.coeffs[:k], 1):
+        if fd:
+            for t, ge in zip(range(d, k + 1, d), g.coeffs[:k // d]):
+                if ge:
+                    out[t] += fd * ge
+    return DirichletSeries(out[1:])
 
 
 def series_inverse(f: DirichletSeries) -> DirichletSeries:
     if f[1] == 0:
         raise ValueError("series with leading coefficient 0 is not invertible")
-    inv: list[Fraction] = [1 / f[1]]
-    for n in range(2, len(f) + 1):
-        acc = Fraction(0)
-        for d in divisors(n):
-            if d > 1:
-                acc += f[d] * inv[n // d - 1]
-        inv.append(-acc / f[1])
-    return DirichletSeries(inv)
+    return DirichletSeries(push_inverse([0, *f.coeffs], [0], len(f))[1:])
 
 
 def euler_product_inverse_zeta(primes_up_to: int, upto: int) -> DirichletSeries:
@@ -129,7 +125,7 @@ def euler_product_inverse_zeta(primes_up_to: int, upto: int) -> DirichletSeries:
         raise ValueError(
             f"prime bound {primes_up_to} too small for depth {upto}: missing {missing}"
         )
-    coeffs = [Fraction(1)] + [Fraction(0)] * (upto - 1)
+    coeffs = [1] + [0] * (upto - 1)
     for p in range(2, primes_up_to + 1):
         if not is_prime(p):
             continue
@@ -145,7 +141,7 @@ def l_series(chi: list[Scalar], upto: int) -> DirichletSeries:
     if not chi:
         raise ValueError("character period must be nonempty")
     k = len(chi)
-    return DirichletSeries([Fraction(chi[(n - 1) % k]) for n in range(1, upto + 1)])
+    return DirichletSeries([chi[(n - 1) % k] for n in range(1, upto + 1)])
 
 
 def character_is_completely_multiplicative(chi: list[Scalar], upto: int) -> bool:
@@ -161,16 +157,16 @@ def character_is_completely_multiplicative(chi: list[Scalar], upto: int) -> bool
     )
 
 
-def hurwitz_coeffs(k: int, upto: int) -> list[Fraction]:
+def hurwitz_coeffs(k: int, upto: int) -> list[int]:
     """Shifted support vector: 1 at indices n+k for n = 1..upto, else 0.
 
     Returned as a plain list indexed from 1 to upto+k.
     """
     if k < 0:
         raise ValueError("shift must be nonnegative")
-    out = [Fraction(0)] * (upto + k)
+    out = [0] * (upto + k)
     for n in range(1, upto + 1):
-        out[n + k - 1] = Fraction(1)
+        out[n + k - 1] = 1
     return out
 
 
@@ -178,7 +174,7 @@ def lambert_moebius_check(upto: int) -> bool:
     """True iff sum_n mu(n) x^n/(1-x^n) = x as ordinary series mod x^(upto+1)."""
     if upto < 1:
         raise ValueError("need depth >= 1")
-    acc = [Fraction(0)] * (upto + 1)  # index = power of x
+    acc = [0] * (upto + 1)  # index = power of x
     for n in range(1, upto + 1):
         mu = moebius(n)
         if mu == 0:
@@ -189,25 +185,23 @@ def lambert_moebius_check(upto: int) -> bool:
     return acc[0] == 0 and acc[1] == 1 and all(c == 0 for c in acc[2:])
 
 
-def polylog_coeffs(n_max: int, m_max: int) -> list[list[Fraction]]:
+def polylog_coeffs(n_max: int, m_max: int) -> list[list[int]]:
     """The double-indexed container selecting a_{n,m} = delta_{n,m}
     (rows n = 1..n_max, columns m = 1..m_max).
     """
     return [
-        [Fraction(1 if n == m else 0) for m in range(1, m_max + 1)]
+        [1 if n == m else 0 for m in range(1, m_max + 1)]
         for n in range(1, n_max + 1)
     ]
 
 
 def odg_table(dirichlet_coeffs: list[Scalar],
-              ordinary_coeffs: list[Scalar]) -> list[list[Fraction]]:
+              ordinary_coeffs: list[Scalar]) -> list[list[Scalar]]:
     """General double-indexed container: the external product a_{n,m} = f_n * g_m
     of a divisor-indexed vector and an ordinary one.
     """
-    return [
-        [Fraction(fn) * Fraction(gm) for gm in ordinary_coeffs]
-        for fn in dirichlet_coeffs
-    ]
+    gs = [normalize(gm) for gm in ordinary_coeffs]
+    return [[normalize(fn * gm) for gm in gs] for fn in map(normalize, dirichlet_coeffs)]
 
 
 def to_csv(f: DirichletSeries) -> str:

@@ -1,6 +1,7 @@
 """End-to-end checks of the command line: exact bytes, exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -17,6 +18,14 @@ def test_antipode_values(capsys):
     assert run(capsys, "antipode", "mul", "6") == (0, "6\n", "")
     assert run(capsys, "antipode", "add", "5") == (0, "-5\n", "")
     assert run(capsys, "antipode", "unrenorm", "8") == (0, "-8\n", "")
+
+
+def test_antipode_of_a_19_digit_prime_is_fast(capsys):
+    # Miller-Rabin proves the prime; trial division would need ~10**9 steps
+    t0 = time.perf_counter()
+    result = run(capsys, "antipode", "mul", "1000000000000000003")
+    assert time.perf_counter() - t0 < 1.0
+    assert result == (0, "-1000000000000000003\n", "")
 
 
 def test_coproduct_rendering(capsys):
