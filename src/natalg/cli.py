@@ -8,11 +8,12 @@ stdout.  Exit codes: 0 success, 1 domain error (a precondition was violated),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
 
-from . import acceptance, additive, dirichlet, normal_order, series, spectral, symfun, witt
+from . import additive, dirichlet, normal_order, series, spectral, symfun, witt
 from .linear import LinComb
 
 __all__ = ["main"]
@@ -229,6 +230,8 @@ def _cmd_appendix(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from . import acceptance  # only selftest needs it; keeps the import of cli light
+
     return 0 if acceptance.run_all() else 1
 
 
@@ -236,6 +239,7 @@ def _cmd_selftest(args) -> int:
 # parser
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="natalg",
@@ -309,8 +313,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    # built on the first call and reused: parsing leaves no state in the
+    # parser (nargs="*" makes a fresh list per parse)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, ArithmeticError) as exc:

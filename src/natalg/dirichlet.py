@@ -361,19 +361,24 @@ def two_cochain_convolve(c: TwoCochain, cp: TwoCochain, n: int, m: int) -> Scala
 
 
 def two_cochain_inverse(c: TwoCochain, upto: int) -> dict[tuple[int, int], Scalar]:
-    """Table of the legwise-convolution inverse of c on 1..upto squared."""
+    """Table of the legwise-convolution inverse of c on 1..upto squared.
+
+    c is read once per argument pair, upto**2 calls in all, before the solve."""
     c11 = normalize(c(1, 1))
     if c11 == 0:
         raise ValueError("2-cochain with c(1,1) = 0 is not invertible")
+    args = range(1, upto + 1)
+    cv = [None] + [[None] + [c11 if d == l == 1 else normalize(c(d, l)) for l in args] for d in args]
     inv: dict[tuple[int, int], Scalar] = {}
-    for n in range(1, upto + 1):
-        for m in range(1, upto + 1):
+    for n in args:
+        for m in args:
             acc = 1 if n == 1 and m == 1 else 0
             for d in divisors(n):
+                row = cv[d]
                 for l in divisors(m):
                     if d == 1 and l == 1:
                         continue
-                    acc -= normalize(c(d, l)) * inv[(n // d, m // l)]
+                    acc -= row[l] * inv[(n // d, m // l)]
             inv[(n, m)] = exact_div(acc, c11)
     return inv
 

@@ -14,7 +14,6 @@ __all__ = [
     "factorize",
     "divisors",
     "omega_grade",
-    "gcd",
     "is_prime",
     "moebius",
     "moebius_sieve",
@@ -31,6 +30,12 @@ _TRIAL_BOUND = 1_000
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_PROVEN_BELOW = 3_317_044_064_679_887_385_961_981
 _MR_MORE_BASES = (43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+
+# Pollard rho steps (one step is one x -> x^2 + c) allowed per split, about a
+# second of work.  Rho needs about sqrt(p) steps to find a prime factor p, so
+# a composite cofactor whose least prime factor is above roughly 10^11 can be
+# refused with a ValueError instead of running for minutes or hours.
+_RHO_BUDGET = 1 << 21
 
 
 def _check_positive(n: int) -> None:
@@ -111,14 +116,22 @@ def _rho_brent(n: int) -> int:
     """A nontrivial factor of the odd composite n: Pollard rho with Brent's
     cycle search and batched gcds (Brent, "An improved Monte Carlo
     factorization algorithm", 1980).  The maps x -> x^2 + c are tried for
-    c = 1, 2, ... from the start value 2, so the result is deterministic."""
+    c = 1, 2, ... from the start value 2, so the result is deterministic.
+
+    Raises ValueError rather than pass _RHO_BUDGET steps over every c.  A
+    round of the search takes at most 2r steps, r to move y and r in gcd
+    batches, so the budget is checked once per round, before it starts."""
     batch = 128
-    c = 0
+    c = steps = 0
     while True:
         c += 1
         x = y = ys = 2
         r = q = g = 1
         while g == 1:
+            steps += 2 * r
+            if steps > _RHO_BUDGET:
+                raise ValueError(
+                    f"cannot factor {n}: no factor found in {_RHO_BUDGET} Pollard rho steps")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -180,10 +193,6 @@ def omega_grade(n: int) -> int:
     """Number of prime factors of n counted with multiplicity; 1 has grade 0."""
     _check_positive(n)
     return sum(r for _, r in factorize(n))
-
-
-def gcd(n: int, m: int) -> int:
-    return math.gcd(n, m)
 
 
 def moebius(n: int) -> int:

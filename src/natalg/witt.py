@@ -203,16 +203,16 @@ def ghost(w: Iterable[Scalar]) -> list[Fraction]:
     return out
 
 
+def _ghost_sym_at(n: int, prefix: str) -> MultiPoly:
+    acc = MultiPoly()
+    for d in divisors(n):
+        acc = acc + MultiPoly.var(f"{prefix}{d}") ** (n // d) * d
+    return acc
+
+
 def ghost_sym(upto: int, prefix: str = "w") -> list[MultiPoly]:
     """Ghost components with symbolic coordinates prefix1..prefixN."""
-    vs = [MultiPoly.var(f"{prefix}{i}") for i in range(1, upto + 1)]
-    out = []
-    for n in range(1, upto + 1):
-        acc = MultiPoly()
-        for d in divisors(n):
-            acc = acc + vs[d - 1] ** (n // d) * d
-        out.append(acc)
-    return out
+    return [_ghost_sym_at(n, prefix) for n in range(1, upto + 1)]
 
 
 def ghost_inverse(r: Iterable[Scalar]) -> list[Fraction]:
@@ -247,25 +247,31 @@ def witt_mul(u: Iterable[Scalar], v: Iterable[Scalar]) -> list[Fraction]:
     return ghost_inverse([a * b for a, b in zip(ru, rv)])
 
 
+# F_1, F_2, ... and G_1, G_2, ... solved so far in this process
+_F: list[MultiPoly] = []
+_G: list[MultiPoly] = []
+
+
 def universal_polys(upto: int) -> tuple[list[MultiPoly], list[MultiPoly]]:
     """Universal addition and multiplication polynomials F_n, G_n in the
     coordinates w_d, v_d.  Solved by the same triangular recursion as
     ghost_inverse, symbolically; integer coefficients and divisor-only
     variable support are asserted, not assumed.
+
+    Index n reads only the indices d | n, d < n, so each F_n, G_n is solved
+    and checked once per process: a call extends the memo through upto and
+    returns new lists of its prefix.  The polynomials in them are shared, so
+    do not mutate their terms.
     """
     if upto > 8:
         raise ValueError("universal polynomials are capped at index 8")
-    rw = ghost_sym(upto, "w")
-    rv = ghost_sym(upto, "v")
-    F: list[MultiPoly] = []
-    G: list[MultiPoly] = []
-    for n in range(1, upto + 1):
-        sum_target = rw[n - 1] + rv[n - 1]
-        mul_target = rw[n - 1] * rv[n - 1]
+    for n in range(len(_F) + 1, upto + 1):
+        rw, rv = _ghost_sym_at(n, "w"), _ghost_sym_at(n, "v")
+        sum_target, mul_target = rw + rv, rw * rv
         for d in divisors(n):
             if d < n:
-                sum_target = sum_target - F[d - 1] ** (n // d) * d
-                mul_target = mul_target - G[d - 1] ** (n // d) * d
+                sum_target = sum_target - _F[d - 1] ** (n // d) * d
+                mul_target = mul_target - _G[d - 1] ** (n // d) * d
         Fn = sum_target / n
         Gn = mul_target / n
         allowed = {f"{p}{d}" for d in divisors(n) for p in ("w", "v")}
@@ -274,9 +280,10 @@ def universal_polys(upto: int) -> tuple[list[MultiPoly], list[MultiPoly]]:
                 raise ArithmeticError(f"{tag}{n} has a non-integer coefficient")
             if not poly.variables() <= allowed:
                 raise ArithmeticError(f"{tag}{n} uses non-divisor variables")
-        F.append(Fn)
-        G.append(Gn)
-    return F, G
+        _F.append(Fn)
+        _G.append(Gn)
+    upto = max(upto, 0)
+    return _F[:upto], _G[:upto]
 
 
 # ---------------------------------------------------------------------------

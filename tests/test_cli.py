@@ -1,10 +1,16 @@
 """End-to-end checks of the command line: exact bytes, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import natalg
+from natalg import cli
 from natalg.cli import main
 
 
@@ -158,3 +164,74 @@ def test_output_is_deterministic(capsys):
     first = run(capsys, "series", "lambda", "--upto", "9")
     second = run(capsys, "series", "lambda", "--upto", "9")
     assert first == second
+
+
+def test_over_budget_factorization_fails_fast(capsys):
+    # two 16-digit primes: Pollard rho gives up instead of running ~15 s
+    n = 3000000000000148000000000001369
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "antipode", "mul", str(n))
+    assert time.perf_counter() - t0 < 5.0
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot factor {n}") and err.count("\n") == 1
+
+
+# Every subcommand, options given and then omitted, defaults after explicit
+# values (witt polys), usage errors (exit 2) followed by valid calls, and
+# domain errors (exit 1).  selftest runs for seconds, so only its parser is
+# exercised, through --help.
+INTERLEAVED = [
+    ["series", "moebius", "--upto", "5", "--csv"],
+    ["series", "moebius", "--upto", "5"],
+    ["symfun", "circle", "2,1", "1", "--json"],
+    ["symfun", "circle", "2,1", "1"],
+    ["symfun", "lr", "2,1", "1,1"],
+    ["witt", "polys", "4"],
+    ["witt", "polys"],
+    ["witt", "add", "1,2", "3,4"],
+    ["witt", "ghost", "1,2,3"],
+    ["witt", "ghost", "-1,2"],
+    ["witt", "e2w", "1,-1,0"],
+    ["witt", "mul", "1,2", "3,4"],
+    ["coproduct", "nope", "3"],
+    ["coproduct", "mul-unrenorm", "12"],
+    ["antipode", "mul", "0"],
+    ["antipode", "unrenorm", "12"],
+    ["convolve", "--f", "moebius", "--g", "zeta", "--upto", "6"],
+    ["cocycle", "--phi", "zeta", "--upto", "3"],
+    ["branch", "derive", "4", "12"],
+    ["branch", "div", "4", "12"],
+    ["normalorder", "power", "3"],
+    ["stirling", "0"],
+    ["stirling", "4"],
+    ["appendix", "table", "--upto", "2"],
+    ["appendix", "gram", "--upto", "2"],
+    ["selftest", "--help"],
+    ["series", "nope", "--upto", "3"],
+    [],
+    ["--help"],
+]
+
+
+def test_reused_parser_keeps_no_state(capsys, monkeypatch):
+    assert cli._build_parser() is cli._build_parser()
+    # argparse wraps usage and help text to the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    env = dict(os.environ, PYTHONPATH=str(Path(natalg.__file__).parents[1]))
+    fresh = []
+    for argv in INTERLEAVED:
+        proc = subprocess.run([sys.executable, "-m", "natalg", *argv], env=env,
+                              capture_output=True, text=True)
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    assert {code for code, _, _ in fresh} == {0, 1, 2}
+
+    def in_process(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    for _ in range(2):
+        assert [in_process(argv) for argv in INTERLEAVED] == fresh

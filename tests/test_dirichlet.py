@@ -1,6 +1,7 @@
 """The divisor-splitting convolution structure and its cochain calculus."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -158,6 +159,48 @@ def test_two_cochain_inverse_really_inverts():
         for m in range(1, 7):
             got = dh.two_cochain_convolve(c, lambda a, b: inv[(a, b)], n, m)
             assert got == (1 if n == m == 1 else 0)
+
+
+def pull_two_cochain_inverse(c, upto):
+    # the solve as first written: c is called once per divisor pair
+    c11 = c(1, 1)
+    inv = {}
+    for n in range(1, upto + 1):
+        for m in range(1, upto + 1):
+            acc = 1 if n == 1 and m == 1 else 0
+            for d in divisors(n):
+                for l in divisors(m):
+                    if (d, l) != (1, 1):
+                        acc -= c(d, l) * inv[(n // d, m // l)]
+            inv[(n, m)] = Fraction(acc, c11)
+    return inv
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_two_cochain_inverse_reads_each_value_once(seed):
+    rng = random.Random(seed)
+    table = {(d, l): rng.randint(-3, 3) for d in range(1, 25) for l in range(1, 25)}
+    table[(1, 1)] = rng.choice([-2, -1, 1, 2, 3])
+    calls = []
+
+    def c(d, l):
+        calls.append((d, l))
+        return table[(d, l)]
+
+    inv = dh.two_cochain_inverse(c, 24)
+    assert len(calls) == 576 and len(set(calls)) == 576
+    assert inv == pull_two_cochain_inverse(lambda d, l: table[(d, l)], 24)
+
+
+def test_dirichlet_inverse_matches_arithfn_inverse():
+    f = dh.ArithFn(lambda n: n + 1, "n+1")  # f(1) = 2: Fraction values
+    g = dh.dirichlet_inverse(f)
+    assert g is f.inverse() and g._filled == 0  # nothing forced without upto
+    # a bare callable is wrapped; upto forces the first values by the bulk solve
+    forced = dh.dirichlet_inverse(lambda n: n + 1, upto=40)
+    assert forced._filled == 40
+    assert forced.values(40) == g.values(40)
+    assert dh.dirichlet_inverse(dh.zeta, upto=10).values(10) == [moebius(n) for n in range(1, 11)]
 
 
 def test_pointwise_coboundary_detects_complete_multiplicativity():

@@ -4,10 +4,10 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from natalg import nat
 from natalg.nat import (
     divisors,
     factorize,
-    gcd,
     is_prime,
     moebius,
     moebius_sieve,
@@ -66,11 +66,6 @@ def test_moebius_first_ten():
 def test_moebius_sieve_agrees_pointwise():
     sieve = moebius_sieve(3000)
     assert all(sieve[n] == moebius(n) for n in range(1, 3001))
-
-
-@given(st.integers(min_value=1, max_value=10_000), st.integers(min_value=1, max_value=10_000))
-def test_gcd_agrees_with_math(n, m):
-    assert gcd(n, m) == math.gcd(n, m)
 
 
 def test_omega_counts_with_multiplicity():
@@ -178,3 +173,15 @@ def test_large_primes():
         assert is_prime(p)
         assert factorize(p) == ((p, 1),)
     assert factorize(2**64 + 1) == ((274177, 1), (67280421310721, 1))
+
+
+def test_rho_gives_up_with_a_value_error_after_its_budget(monkeypatch):
+    # two primes near 10**8 need about 10**4 rho steps; allow 2**10
+    p, q = 100_000_007, 100_000_037
+    assert trial_is_prime(p) and trial_is_prime(q)
+    monkeypatch.setattr(nat, "_RHO_BUDGET", 1 << 10)
+    factorize.cache_clear()
+    with pytest.raises(ValueError, match=f"cannot factor {p * q}"):
+        factorize(p * q)
+    monkeypatch.undo()
+    assert factorize(p * q) == ((p, 1), (q, 1))

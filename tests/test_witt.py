@@ -1,11 +1,17 @@
 """Big-vector coordinate calculus: ghosts, universal laws, series bridges."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import natalg
+from natalg import witt
 from natalg.witt import (
     MultiPoly,
     adams_op,
@@ -105,6 +111,39 @@ def test_universal_polynomials():
         assert poly.is_integral()
     with pytest.raises(ValueError):
         universal_polys(9)
+
+
+def rendered(pair):
+    F, G = pair
+    return repr([p.render() for p in F + G])
+
+
+def test_universal_polys_memo_matches_a_fresh_process(monkeypatch):
+    script = ("from natalg.witt import universal_polys\n"
+              "for n in range(1, 9):\n"
+              "    F, G = universal_polys(n)\n"
+              "    print(repr([p.render() for p in F + G]))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(natalg.__file__).parents[1]))
+    fresh = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                           text=True, check=True).stdout.splitlines()
+    # an empty memo here: 8 first, then 1..8 are all read from what 8 solved
+    monkeypatch.setattr(witt, "_F", [])
+    monkeypatch.setattr(witt, "_G", [])
+    assert rendered(universal_polys(8)) == fresh[7]
+    assert [rendered(universal_polys(n)) for n in range(1, 9)] == fresh
+
+
+def test_universal_polys_returns_new_lists():
+    F, G = universal_polys(4)
+    want = [f.render() for f in F], [g.render() for g in G]
+    F.append(MultiPoly.var("x"))
+    F[0] = MultiPoly()
+    G.clear()
+    F, G = universal_polys(4)
+    assert ([f.render() for f in F], [g.render() for g in G]) == want
+    assert universal_polys(5)[0][:4] == F
+    assert universal_polys(0) == ([], [])
+    assert universal_polys(-1) == ([], [])
 
 
 @settings(max_examples=25)
