@@ -1,8 +1,10 @@
-"""Finite linear combinations with exact rational coefficients.
+"""Finite linear combinations with exact coefficients: int when integral,
+else Fraction (see `normalize`).
 
 One dict-backed class serves every layer: tensor pairs and tuples of ints,
-partitions, normal-ordered operator words, plain ints.  Keys must be hashable;
-zero coefficients are never stored, so equality is structural.
+partitions, normal-ordered operator words, plain ints, and monomials (the
+subclass witt.MultiPoly; the operators build type(self)).  Keys must be
+hashable; zero coefficients are never stored, so equality is structural.
 """
 
 from __future__ import annotations
@@ -42,15 +44,15 @@ def exact_div(a: Scalar, b: Scalar) -> Scalar:
 
 
 class LinComb:
-    """Immutable-by-convention mapping basis-key -> nonzero Fraction."""
+    """Immutable-by-convention mapping basis-key -> nonzero exact scalar."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict[Any, Scalar] | None = None):
-        clean: dict[Any, Fraction] = {}
+        clean: dict[Any, Scalar] = {}
         if terms:
             for k, c in terms.items():
-                c = Fraction(c)
+                c = normalize(c)
                 if c:
                     clean[k] = c
         self.terms = clean
@@ -63,7 +65,7 @@ class LinComb:
     def zero(cls) -> "LinComb":
         return cls()
 
-    def __iter__(self) -> Iterator[tuple[Any, Fraction]]:
+    def __iter__(self) -> Iterator[tuple[Any, Scalar]]:
         return iter(self.terms.items())
 
     def __len__(self) -> int:
@@ -72,8 +74,8 @@ class LinComb:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def __getitem__(self, key: Any) -> Fraction:
-        return self.terms.get(key, Fraction(0))
+    def __getitem__(self, key: Any) -> Scalar:
+        return self.terms.get(key, 0)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LinComb):
@@ -81,49 +83,48 @@ class LinComb:
         return self.terms == other.terms
 
     def __hash__(self):
-        raise TypeError("LinComb is not hashable")
+        raise TypeError(f"{type(self).__name__} is not hashable")
 
     def __add__(self, other: "LinComb") -> "LinComb":
         out = dict(self.terms)
         for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return LinComb(out)
+            out[k] = out.get(k, 0) + c
+        return type(self)(out)
 
     def __sub__(self, other: "LinComb") -> "LinComb":
         out = dict(self.terms)
         for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) - c
-        return LinComb(out)
+            out[k] = out.get(k, 0) - c
+        return type(self)(out)
 
     def __neg__(self) -> "LinComb":
-        return LinComb({k: -c for k, c in self.terms.items()})
+        return type(self)({k: -c for k, c in self.terms.items()})
 
     def scale(self, c: Scalar) -> "LinComb":
-        c = Fraction(c)
+        c = normalize(c)
         if not c:
-            return LinComb()
-        return LinComb({k: v * c for k, v in self.terms.items()})
+            return type(self)()
+        return type(self)({k: v * c for k, v in self.terms.items()})
 
-    def __rmul__(self, c: Scalar) -> "LinComb":
-        return self.scale(c)
+    __rmul__ = scale
 
     def map_keys(self, fn: Callable[[Any], Any]) -> "LinComb":
         """Relabel basis keys, merging collisions."""
-        out: dict[Any, Fraction] = {}
+        out: dict[Any, Scalar] = {}
         for k, c in self.terms.items():
             nk = fn(k)
-            out[nk] = out.get(nk, Fraction(0)) + c
+            out[nk] = out.get(nk, 0) + c
         return LinComb(out)
 
     def bilinear(self, other: "LinComb",
                  prod: Callable[[Any, Any], "LinComb"]) -> "LinComb":
         """Extend a basis-level product (returning a LinComb) bilinearly."""
-        out: dict[Any, Fraction] = {}
+        out: dict[Any, Scalar] = {}
         for ka, ca in self.terms.items():
             for kb, cb in other.terms.items():
                 for k, c in prod(ka, kb).terms.items():
-                    out[k] = out.get(k, Fraction(0)) + ca * cb * c
-        return LinComb(out)
+                    out[k] = out.get(k, 0) + ca * cb * c
+        return type(self)(out)
 
     def sorted_terms(self, key: Callable[[Any], Any] | None = None):
         return sorted(self.terms.items(), key=(lambda kv: key(kv[0])) if key else None)

@@ -178,7 +178,7 @@ def stirling2_rec(n: int, k: int) -> int:
     return k * stirling2_rec(n - 1, k) + stirling2_rec(n - 1, k - 1)
 
 
-def stirling2_from_circle(n: int, k: int) -> Fraction:
+def stirling2_from_circle(n: int, k: int) -> int:
     """Coefficient of :a†^k a^k: in the n-th power of the number operator."""
     return circle_power(T, n)[(k, k)]
 

@@ -308,14 +308,14 @@ def _m_to_schur(x: LinComb, w: int) -> LinComb:
     """Triangular solve against the Kostka-unitriangular expansion; x must be
     homogeneous of the given weight."""
     rem = dict(x.terms)
-    out: dict[Partition, Fraction] = {}
+    out: dict[Partition, int | Fraction] = {}
     for lam in sorted(partitions_of(w), reverse=True):  # lex order refines dominance
         c = rem.get(lam)
         if not c:
             continue
         out[lam] = c
         for mu, k in _schur_in_m(lam):
-            rem[mu] = rem.get(mu, Fraction(0)) - c * k
+            rem[mu] = rem.get(mu, 0) - c * k
             if not rem[mu]:
                 del rem[mu]
     if rem:
@@ -457,7 +457,7 @@ def _solve_exact(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
     for col in range(n):
         piv = next(r for r in range(col, n) if m[r][col] != 0)
         m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
+        inv = 1 / Fraction(m[col][col])
         m[col] = [v * inv for v in m[col]]
         for r in range(n):
             if r != col and m[r][col]:

@@ -3,18 +3,19 @@ polynomials, lambda operations on integers, Adams operations, and the
 conversion between Witt coordinates and the coefficients of the associated
 truncated product series.
 
-Everything is exact; the symbolic layer is a minimal sparse multivariate
-polynomial over rationals.
+Everything is exact; MultiPoly is a LinComb over monomials, and the ghost
+map and its inverse run on numbers and polynomials alike.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
 from typing import Iterable
 
-from .linear import Scalar
+from .linear import LinComb, Scalar
 from .nat import divisors
 
 __all__ = [
@@ -45,19 +46,11 @@ def _var_key(name: str) -> tuple[str, int]:
     return (m.group(1), int(m.group(2)))
 
 
-class MultiPoly:
-    """Sparse polynomial: mapping from monomials to nonzero Fractions."""
+class MultiPoly(LinComb):
+    """Sparse polynomial: a LinComb over monomials, with numbers lifted to
+    constant polynomials by +, - and ==."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[Monomial, Scalar] | None = None):
-        clean: dict[Monomial, Fraction] = {}
-        if terms:
-            for mono, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    clean[mono] = c
-        self.terms = clean
+    __slots__ = ()
 
     @classmethod
     def const(cls, c: Scalar) -> "MultiPoly":
@@ -67,54 +60,29 @@ class MultiPoly:
     def var(cls, name: str) -> "MultiPoly":
         return cls({((name, 1),): 1})
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.const(other)
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        raise TypeError("MultiPoly is not hashable")
+        return super().__eq__(_lift(other))
 
     def __add__(self, other) -> "MultiPoly":
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.const(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return MultiPoly(out)
+        return super().__add__(_lift(other))
 
     __radd__ = __add__
 
-    def __neg__(self) -> "MultiPoly":
-        return MultiPoly({m: -c for m, c in self.terms.items()})
-
     def __sub__(self, other) -> "MultiPoly":
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.const(other)
-        return self + (-other)
+        return super().__sub__(_lift(other))
 
     def __rsub__(self, other) -> "MultiPoly":
         return (-self) + other
 
     def __mul__(self, other) -> "MultiPoly":
         if isinstance(other, (int, Fraction)):
-            return MultiPoly({m: c * other for m, c in self.terms.items()})
-        out: dict[Monomial, Fraction] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                mono = _merge(ma, mb)
-                out[mono] = out.get(mono, Fraction(0)) + ca * cb
-        return MultiPoly(out)
+            return self.scale(other)
+        return self.bilinear(other, _merge)
 
     __rmul__ = __mul__
 
     def __truediv__(self, k: Scalar) -> "MultiPoly":
-        return MultiPoly({m: c / Fraction(k) for m, c in self.terms.items()})
+        return self.scale(1 / Fraction(k))
 
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
@@ -135,10 +103,8 @@ class MultiPoly:
         for mono, c in self.terms.items():
             term = MultiPoly.const(c)
             for v, e in mono:
-                base = values.get(v)
-                if base is None:
-                    base = MultiPoly.var(v)
-                elif not isinstance(base, MultiPoly):
+                base = values.get(v, MultiPoly.var(v))
+                if not isinstance(base, MultiPoly):
                     base = MultiPoly.const(base)
                 term = term * base**e
             out = out + term
@@ -181,70 +147,73 @@ class MultiPoly:
         return " ".join(chunks)
 
 
-def _merge(a: Monomial, b: Monomial) -> Monomial:
-    exps: dict[str, int] = {}
-    for v, e in a:
-        exps[v] = exps.get(v, 0) + e
+def _lift(x):
+    """A number as a constant polynomial; anything else as it is."""
+    return MultiPoly.const(x) if isinstance(x, (int, Fraction)) else x
+
+
+def _merge(a: Monomial, b: Monomial) -> LinComb:
+    """The product of two monomials, as a one-term combination."""
+    exps = dict(a)
     for v, e in b:
         exps[v] = exps.get(v, 0) + e
-    return tuple(sorted(exps.items(), key=lambda kv: _var_key(kv[0])))
+    return LinComb.single(tuple(sorted(exps.items(), key=lambda kv: _var_key(kv[0]))))
 
 
 # ---------------------------------------------------------------------------
 # ghost map
 
 
-def ghost(w: Iterable[Scalar]) -> list[Fraction]:
+def _ring(x):
+    """A coordinate as a ring element: a MultiPoly as itself, a number as a
+    Fraction.  The ghost map and its inverse run on both alike."""
+    return x if isinstance(x, MultiPoly) else Fraction(x)
+
+
+def ghost(w: Iterable) -> list:
     """Ghost components r_n = sum over d|n of d * w_d^(n/d)."""
-    ws = [Fraction(x) for x in w]
-    out = []
-    for n in range(1, len(ws) + 1):
-        out.append(sum((d * ws[d - 1] ** (n // d) for d in divisors(n)), Fraction(0)))
-    return out
-
-
-def _ghost_sym_at(n: int, prefix: str) -> MultiPoly:
-    acc = MultiPoly()
-    for d in divisors(n):
-        acc = acc + MultiPoly.var(f"{prefix}{d}") ** (n // d) * d
-    return acc
+    ws = [_ring(x) for x in w]
+    return [sum((d * ws[d - 1] ** (n // d) for d in divisors(n)), Fraction(0))
+            for n in range(1, len(ws) + 1)]
 
 
 def ghost_sym(upto: int, prefix: str = "w") -> list[MultiPoly]:
     """Ghost components with symbolic coordinates prefix1..prefixN."""
-    return [_ghost_sym_at(n, prefix) for n in range(1, upto + 1)]
+    return ghost(MultiPoly.var(f"{prefix}{d}") for d in range(1, upto + 1))
 
 
-def ghost_inverse(r: Iterable[Scalar]) -> list[Fraction]:
+def _solve_next(r_n, w: list):
+    """w_n from r_n and w_1..w_(n-1): one step of the triangular ghost solve."""
+    n = len(w) + 1
+    acc = r_n
+    for d in divisors(n):
+        if d < n:
+            acc = acc - d * w[d - 1] ** (n // d)
+    return acc / n
+
+
+def ghost_inverse(r: Iterable) -> list:
     """Triangular solve of the ghost formula for the coordinates."""
-    rs = [Fraction(x) for x in r]
-    w: list[Fraction] = []
-    for n in range(1, len(rs) + 1):
-        acc = rs[n - 1]
-        for d in divisors(n):
-            if d < n:
-                acc -= d * w[d - 1] ** (n // d)
-        w.append(acc / n)
+    w: list = []
+    for x in r:
+        w.append(_solve_next(_ring(x), w))
     return w
 
 
-def _check_same_length(u, v) -> None:
+def _ghostwise(op, u: Iterable, v: Iterable) -> list:
+    """The coordinate operation that is op on ghost components."""
+    u, v = list(u), list(v)
     if len(u) != len(v):
         raise ValueError("coordinate vectors must share their truncation length")
+    return ghost_inverse([op(a, b) for a, b in zip(ghost(u), ghost(v))])
 
 
-def witt_add(u: Iterable[Scalar], v: Iterable[Scalar]) -> list[Fraction]:
-    u, v = list(u), list(v)
-    _check_same_length(u, v)
-    ru, rv = ghost(u), ghost(v)
-    return ghost_inverse([a + b for a, b in zip(ru, rv)])
+def witt_add(u: Iterable, v: Iterable) -> list:
+    return _ghostwise(operator.add, u, v)
 
 
-def witt_mul(u: Iterable[Scalar], v: Iterable[Scalar]) -> list[Fraction]:
-    u, v = list(u), list(v)
-    _check_same_length(u, v)
-    ru, rv = ghost(u), ghost(v)
-    return ghost_inverse([a * b for a, b in zip(ru, rv)])
+def witt_mul(u: Iterable, v: Iterable) -> list:
+    return _ghostwise(operator.mul, u, v)
 
 
 # F_1, F_2, ... and G_1, G_2, ... solved so far in this process
@@ -254,34 +223,29 @@ _G: list[MultiPoly] = []
 
 def universal_polys(upto: int) -> tuple[list[MultiPoly], list[MultiPoly]]:
     """Universal addition and multiplication polynomials F_n, G_n in the
-    coordinates w_d, v_d.  Solved by the same triangular recursion as
-    ghost_inverse, symbolically; integer coefficients and divisor-only
-    variable support are asserted, not assumed.
+    coordinates w_d, v_d: ghost_inverse's steps on the sums and products of
+    the symbolic ghost components, with integer coefficients and divisor-only
+    variable support asserted, not assumed.
 
-    Index n reads only the indices d | n, d < n, so each F_n, G_n is solved
-    and checked once per process: a call extends the memo through upto and
-    returns new lists of its prefix.  The polynomials in them are shared, so
-    do not mutate their terms.
+    Each F_n, G_n is solved and checked once per process (index n reads only
+    d | n, d < n): a call extends the memo through upto and returns new lists
+    of its prefix.  The polynomials in them are shared; do not mutate them.
     """
     if upto > 8:
         raise ValueError("universal polynomials are capped at index 8")
-    for n in range(len(_F) + 1, upto + 1):
-        rw, rv = _ghost_sym_at(n, "w"), _ghost_sym_at(n, "v")
-        sum_target, mul_target = rw + rv, rw * rv
-        for d in divisors(n):
-            if d < n:
-                sum_target = sum_target - _F[d - 1] ** (n // d) * d
-                mul_target = mul_target - _G[d - 1] ** (n // d) * d
-        Fn = sum_target / n
-        Gn = mul_target / n
-        allowed = {f"{p}{d}" for d in divisors(n) for p in ("w", "v")}
-        for poly, tag in ((Fn, "F"), (Gn, "G")):
-            if not poly.is_integral():
-                raise ArithmeticError(f"{tag}{n} has a non-integer coefficient")
-            if not poly.variables() <= allowed:
-                raise ArithmeticError(f"{tag}{n} uses non-divisor variables")
-        _F.append(Fn)
-        _G.append(Gn)
+    if len(_F) < upto:
+        rw, rv = ghost_sym(upto, "w"), ghost_sym(upto, "v")
+        for n in range(len(_F) + 1, upto + 1):
+            Fn = _solve_next(rw[n - 1] + rv[n - 1], _F)
+            Gn = _solve_next(rw[n - 1] * rv[n - 1], _G)
+            allowed = {f"{p}{d}" for d in divisors(n) for p in ("w", "v")}
+            for poly, tag in ((Fn, "F"), (Gn, "G")):
+                if not poly.is_integral():
+                    raise ArithmeticError(f"{tag}{n} has a non-integer coefficient")
+                if not poly.variables() <= allowed:
+                    raise ArithmeticError(f"{tag}{n} uses non-divisor variables")
+            _F.append(Fn)
+            _G.append(Gn)
     upto = max(upto, 0)
     return _F[:upto], _G[:upto]
 
@@ -332,12 +296,9 @@ def w_to_e(w: list) -> list:
     """Coefficients e_1..e_N of the product series, same entry type as w
     (rationals or polynomials)."""
     n = len(w)
-    coeffs: list = [None] * (n + 1)  # t^0..t^n
     one = Fraction(1) if not any(isinstance(x, MultiPoly) for x in w) else MultiPoly.const(1)
     zero = one - one
-    coeffs[0] = one
-    for k in range(1, n + 1):
-        coeffs[k] = zero
+    coeffs: list = [one] + [zero] * n  # t^0..t^n
     for d in range(1, n + 1):
         term = w[d - 1] * _sign(d)
         for k in range(n, d - 1, -1):

@@ -1,4 +1,5 @@
-"""Int-first exact scalars in the divisor and additive layers.
+"""Int-first exact scalars in the divisor and additive layers, and in the
+coefficients of linear combinations and polynomials.
 
 The bulk (push) solves are checked against the per-value (pull) recursion and
 against brute-force solves written out here, which use only Fraction
@@ -12,8 +13,11 @@ from hypothesis import given, settings, strategies as st
 
 from natalg import additive as ad
 from natalg import dirichlet as dh
+from natalg import normal_order as no
 from natalg import series as sr
-from natalg.linear import exact_div, normalize
+from natalg import symfun as sf
+from natalg import witt as wt
+from natalg.linear import LinComb, exact_div, normalize
 
 LEADS = st.sampled_from([1, -1, 2, -2, 3])
 
@@ -154,3 +158,32 @@ def test_scalar_helpers():
     assert exact_div(-3, 6) == Fraction(-1, 2)
     assert exact_div(Fraction(3, 2), Fraction(1, 2)) == 3
     assert type(exact_div(Fraction(3, 2), Fraction(1, 2))) is int
+
+
+PARTITIONS = st.integers(min_value=1, max_value=3).flatmap(
+    lambda w: st.sampled_from(sf.partitions_of(w)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(PARTITIONS, PARTITIONS)
+def test_symmetric_function_coefficients_are_exact(lam, mu):
+    circle = sf.circle_product(lam, mu)
+    assert exact(circle.terms.values())
+    assert exact(sf.schur_product_lr(lam, mu).terms.values())
+    h = sf.to_h_basis(circle, sum(lam) + sum(mu))
+    assert exact(h.terms.values())
+    third = sf.to_h_basis(circle.scale(Fraction(1, 3)), sum(lam) + sum(mu))
+    assert third == h.scale(Fraction(1, 3)) and exact(third.terms.values())
+
+
+def test_operator_and_polynomial_coefficients_are_exact():
+    for word in ((1, 1), (2, 1), (0, 2)):
+        for n in range(7):
+            assert exact(no.circle_power(word, n).terms.values())
+    assert exact(no.R_iter(4).terms.values())
+    assert type(no.stirling2_from_circle(6, 3)) is int
+    F, G = wt.universal_polys(8)
+    assert all(exact(p.terms.values()) for p in F + G)
+    half = (wt.MultiPoly.var("x") + 1) / 2
+    assert exact(half.terms.values()) and exact((half * 2).terms.values())
+    assert exact(LinComb({1: 0.5, 2: Fraction(4, 2), 3: True}).terms.values())

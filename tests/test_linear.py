@@ -72,3 +72,26 @@ def test_not_hashable():
 def test_sorted_terms_deterministic():
     x = LinComb({3: 1, 1: 2, 2: 5})
     assert [k for k, _ in x.sorted_terms()] == [1, 2, 3]
+
+
+class Tagged(LinComb):
+    __slots__ = ()
+
+
+def test_integral_coefficients_are_ints():
+    x = LinComb({1: Fraction(4, 2), 2: Fraction(1, 2), 3: 2.0})
+    assert [type(c) for _, c in x] == [int, Fraction, int]
+    assert type(x[9]) is int and x[9] == 0
+    assert type((x + x)[2]) is int
+    assert type(x.scale(Fraction(2, 1))[1]) is int
+    assert x.scale(0.5)[2] == Fraction(1, 4)
+
+
+def test_operators_keep_the_subclass():
+    x, y = Tagged({1: 2, 2: Fraction(1, 2)}), Tagged({2: 1})
+    results = [x + y, x - y, -x, x.scale(3), 3 * x, x.scale(0),
+               x.bilinear(y, lambda a, b: LinComb.single(a * b))]
+    assert all(type(r) is Tagged for r in results)
+    assert x + y == LinComb({1: 2, 2: Fraction(3, 2)})
+    with pytest.raises(TypeError):
+        hash(x)

@@ -1,5 +1,6 @@
 """Big-vector coordinate calculus: ghosts, universal laws, series bridges."""
 
+import functools
 import math
 import os
 import subprocess
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import natalg
 from natalg import witt
+from natalg.linear import LinComb
 from natalg.witt import (
     MultiPoly,
     adams_op,
@@ -57,6 +59,18 @@ def test_multipoly_arithmetic():
         x ** -1
 
 
+def test_multipoly_is_a_linear_combination_closed_under_its_operators():
+    p, q = W[0] * V[1] - 3, W[1] + Fraction(1, 2)
+    assert isinstance(p, LinComb)
+    results = [-p, p.scale(2), p + 1, 1 - p, 2 * p, p * q, p / 2, p ** 2, p - q, p + q]
+    assert all(type(r) is MultiPoly for r in results)
+    assert p + 1 == W[0] * V[1] - 2 and 1 - p == 4 - W[0] * V[1]
+    assert (p / 2).terms == {(("v2", 1), ("w1", 1)): Fraction(1, 2), (): Fraction(-3, 2)}
+    assert type((2 * p).terms[()]) is int
+    with pytest.raises(TypeError):
+        hash(p)
+
+
 def test_render_orders_by_degree_then_index():
     f2 = W[1] + V[1] - W[0] * V[0]
     assert f2.render() == "v2 + w2 - v1*w1"
@@ -76,6 +90,18 @@ def test_ghost_components():
 def test_ghost_inverse_roundtrip(w):
     assert ghost_inverse(ghost(w)) == w
     assert ghost(ghost_inverse(w)) == w
+
+
+def test_ghost_map_and_inverse_on_symbolic_coordinates():
+    # the same ghost map runs on polynomials: no characteristic is assumed
+    assert ghost(W) == ghost_sym(5)
+    assert ghost_inverse(ghost(W)) == W
+    assert ghost(ghost_inverse(W)) == W
+    assert ghost_inverse([2 * W[0], W[1]])[1] == (W[1] - 4 * W[0] ** 2) / 2
+    # the ring operations on symbolic coordinates are the universal polynomials
+    F, G = universal_polys(5)
+    assert witt_add(W, V) == F
+    assert witt_mul(W, V) == G
 
 
 @given(int_vectors, int_vectors)
@@ -118,19 +144,39 @@ def rendered(pair):
     return repr([p.render() for p in F + G])
 
 
-def test_universal_polys_memo_matches_a_fresh_process(monkeypatch):
+@functools.cache
+def fresh_renderings():
+    """rendered(universal_polys(n)) for n = 1..8, from a new process."""
     script = ("from natalg.witt import universal_polys\n"
               "for n in range(1, 9):\n"
               "    F, G = universal_polys(n)\n"
               "    print(repr([p.render() for p in F + G]))\n")
     env = dict(os.environ, PYTHONPATH=str(Path(natalg.__file__).parents[1]))
-    fresh = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                           text=True, check=True).stdout.splitlines()
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True).stdout.splitlines()
+
+
+def test_universal_polys_memo_matches_a_fresh_process(monkeypatch):
+    fresh = fresh_renderings()
     # an empty memo here: 8 first, then 1..8 are all read from what 8 solved
     monkeypatch.setattr(witt, "_F", [])
     monkeypatch.setattr(witt, "_G", [])
     assert rendered(universal_polys(8)) == fresh[7]
     assert [rendered(universal_polys(n)) for n in range(1, 9)] == fresh
+
+
+def test_a_failed_check_keeps_the_polynomial_out_of_the_memo(monkeypatch):
+    F, G = universal_polys(2)
+    monkeypatch.setattr(witt, "_F", list(F))
+    monkeypatch.setattr(witt, "_G", list(G))
+    integral = MultiPoly.is_integral
+    with monkeypatch.context() as patch:
+        # index 3 is the first to use w3
+        patch.setattr(MultiPoly, "is_integral", lambda p: "w3" not in p.variables() and integral(p))
+        with pytest.raises(ArithmeticError, match="F3 has a non-integer coefficient"):
+            universal_polys(5)
+        assert len(witt._F) == len(witt._G) == 2
+    assert [rendered(universal_polys(n)) for n in range(1, 9)] == fresh_renderings()
 
 
 def test_universal_polys_returns_new_lists():
