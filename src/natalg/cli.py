@@ -35,6 +35,17 @@ def _parse_partition(text: str) -> tuple[int, ...]:
     return tuple(sorted(parts, reverse=True))
 
 
+def _count(value: int | str, name: str) -> int:
+    """A command-line count (--upto, witt polys N): an integer >= 1, else a domain error."""
+    try:
+        n = int(value)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    if n < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {n}")
+    return n
+
+
 def _parse_vector(text: str) -> list[Fraction]:
     try:
         return [Fraction(p) for p in text.split(",")]
@@ -114,7 +125,7 @@ def _cmd_antipode(args) -> int:
 
 def _cmd_convolve(args) -> int:
     f, g = _arith_fn(args.f), _arith_fn(args.g)
-    for n in range(1, args.upto + 1):
+    for n in range(1, _count(args.upto, "--upto") + 1):
         print(f"{n} {dirichlet.dirichlet_convolve(f, g, n)}")
     return 0
 
@@ -131,14 +142,15 @@ def _cmd_series(args) -> int:
 
 def _cmd_cocycle(args) -> int:
     phi = _arith_fn(args.phi)
-    for n in range(1, args.upto + 1):
-        for m in range(1, args.upto + 1):
+    upto = _count(args.upto, "--upto")
+    for n in range(1, upto + 1):
+        for m in range(1, upto + 1):
             got = dirichlet.coboundary2_mul(phi, n, m)
             want = 1 if n == 1 and m == 1 else 0
             if got != want:
                 print(f"deviates at ({n}, {m}): {got}")
                 return 0
-    print(f"1-cocycle through {args.upto}")
+    print(f"1-cocycle through {upto}")
     return 0
 
 
@@ -198,7 +210,7 @@ def _cmd_witt(args) -> int:
         fn = witt.witt_add if args.op == "add" else witt.witt_mul
         print(_vec_str(fn(u, v)))
     elif args.op == "polys":
-        n = int(args.vectors[0]) if args.vectors else 3
+        n = _count(args.vectors[0], "witt polys N") if args.vectors else 3
         F, G = witt.universal_polys(n)
         for i, f in enumerate(F, start=1):
             print(f"F{i} = {f.render()}")

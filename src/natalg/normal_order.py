@@ -155,16 +155,15 @@ def inner_product(n: int, m: int) -> Fraction:
 
 
 def stirling2(n: int, k: int) -> int:
-    """Closed inclusion-exclusion form sum_j (-1)^(k-j) j^n / (j! (k-j)!)."""
+    """Closed inclusion-exclusion form sum_j (-1)^(k-j) C(k, j) j^n / k!,
+    summed in integers and divided once."""
     if n < 0 or k < 0:
         raise ValueError("need nonnegative arguments")
-    total = Fraction(0)
-    for j in range(k + 1):
-        total += Fraction((-1) ** (k - j) * j**n,
-                          math.factorial(j) * math.factorial(k - j))
-    if total.denominator != 1:
+    total = sum((-1) ** (k - j) * math.comb(k, j) * j**n for j in range(k + 1))
+    s, r = divmod(total, math.factorial(k))
+    if r:
         raise ArithmeticError(f"closed form not integral at ({n},{k})")
-    return int(total)
+    return s
 
 
 @cache

@@ -4,8 +4,10 @@ Partitions are stored as descending tuples of parts; as basis labels they
 double as products of divided-power generators, one generator per part size
 with the part's multiplicity as its exponent.  The circle product recovers
 honest symmetric-function multiplication, which is what the polynomial oracle
-here checks; Kostka numbers bridge to the Schur basis and give a direct route
-to Littlewood-Richardson coefficients.
+here checks.  The Kostka matrix links the monomial, Schur and complete bases;
+it is unitriangular in dominance order, so each basis change is one
+triangular solve, and the chain through it gives Littlewood-Richardson
+coefficients.
 """
 
 from __future__ import annotations
@@ -126,63 +128,38 @@ def pleth_coproduct(lam: Partition) -> LinComb:
 # the pairing and the circle product
 
 
-def _single_block(lam: Partition) -> tuple[int, int] | None:
-    """(part, multiplicity) when lam uses exactly one part size, else None."""
-    mm = mult_map(lam)
-    if len(mm) == 1:
-        return next(iter(mm.items()))
-    return None
-
-
 @cache
 def laplace_pairing(u: Partition, v: Partition) -> LinComb:
     """Algebra-valued pairing.  Generator rule: one block against one block
     gives delta on equal multiplicities and fuses the part sizes,
-    <i^(r) | j^(s)> = delta_{r,s} (i+j)^(s).  Multi-block arguments expand
-    block-by-block through the coproduct of the other side; values multiply
-    with div_product.  Zero whenever the part counts disagree.
+    <i^(r) | j^(s)> = delta_{r,s} (i+j)^(s).  A multi-block u gives up its
+    smallest block and v expands through its coproduct; values multiply with
+    div_product.  The rule is symmetric and div_product commutes, so the
+    pairing is symmetric.  Zero whenever the part counts disagree.
     """
     if len(u) != len(v):
         return LinComb.zero()
     if not u:
         return LinComb.single(())
-    bu, bv = _single_block(u), _single_block(v)
-    if bu and bv:
-        i, r = bu
-        j, s = bv
-        # r == s is guaranteed by the length guard above
-        return LinComb.single(from_mult({i + j: s}))
-    if bu is None:
-        # peel the smallest-part block off u, expand v
-        mm = mult_map(u)
-        p = min(mm)
-        block = from_mult({p: mm[p]})
-        rest = from_mult({q: r for q, r in mm.items() if q != p})
-        total = LinComb.zero()
-        for (v1, v2), _ in pleth_coproduct(v):
-            if len(v1) != len(block):
-                continue
-            head = laplace_pairing(block, v1)
-            if not head:
-                continue
-            tail = laplace_pairing(rest, v2)
-            if not tail:
-                continue
-            total = total + sym_mul(head, tail)
-        return total
-    # u is a single block, v is not: expand u against v's blocks
-    mm = mult_map(v)
+    if len(set(u)) == 1:  # u is a single block
+        if len(set(v)) > 1:
+            # the pairing is symmetric, so the multi-block side goes left
+            return laplace_pairing(v, u)
+        # equal lengths mean equal multiplicities; the part sizes fuse
+        return LinComb.single((u[0] + v[0],) * len(u))
+    # peel the smallest-part block off u, expand v
+    mm = mult_map(u)
     p = min(mm)
     block = from_mult({p: mm[p]})
     rest = from_mult({q: r for q, r in mm.items() if q != p})
     total = LinComb.zero()
-    for (u1, u2), _ in pleth_coproduct(u):
-        if len(u1) != len(block):
+    for (v1, v2), _ in pleth_coproduct(v):
+        if len(v1) != len(block):
             continue
-        head = laplace_pairing(u1, block)
+        head = laplace_pairing(block, v1)
         if not head:
             continue
-        tail = laplace_pairing(u2, rest)
+        tail = laplace_pairing(rest, v2)
         if not tail:
             continue
         total = total + sym_mul(head, tail)
@@ -299,28 +276,41 @@ def dominates(lam: Partition, mu: Partition) -> bool:
     return True
 
 
-def _schur_in_m(lam: Partition) -> LinComb:
-    w = weight(lam)
-    return LinComb({mu: kostka(lam, mu) for mu in partitions_of(w)})
-
-
-def _m_to_schur(x: LinComb, w: int) -> LinComb:
-    """Triangular solve against the Kostka-unitriangular expansion; x must be
-    homogeneous of the given weight."""
+def _unitriangular_solve(x: LinComb, order, expand) -> LinComb:
+    """The coefficients a with x = sum a[lam] * expand(lam), where expand(lam)
+    has coefficient 1 at lam and its other terms come later in order."""
     rem = dict(x.terms)
     out: dict[Partition, int | Fraction] = {}
-    for lam in sorted(partitions_of(w), reverse=True):  # lex order refines dominance
+    for lam in order:
         c = rem.get(lam)
         if not c:
             continue
         out[lam] = c
-        for mu, k in _schur_in_m(lam):
+        for mu, k in expand(lam):
             rem[mu] = rem.get(mu, 0) - c * k
             if not rem[mu]:
                 del rem[mu]
     if rem:
         raise ArithmeticError(f"basis conversion left a remainder: {rem}")
     return LinComb(out)
+
+
+def _schur_in_m(lam: Partition) -> LinComb:
+    """s_lam = sum over mu dominated by lam of K(lam, mu) m_mu: a Kostka row."""
+    return LinComb({mu: kostka(lam, mu) for mu in partitions_of(weight(lam))
+                    if dominates(lam, mu)})
+
+
+def _h_in_schur(mu: Partition) -> LinComb:
+    """h_mu = sum over lam dominating mu of K(lam, mu) s_lam: a Kostka column."""
+    return LinComb({lam: kostka(lam, mu) for lam in partitions_of(weight(mu))
+                    if dominates(lam, mu)})
+
+
+def _m_to_schur(x: LinComb, w: int) -> LinComb:
+    """x, homogeneous of weight w, in the Schur basis.  Lex order refines
+    dominance, and partitions_of lists the most dominant first."""
+    return _unitriangular_solve(x, partitions_of(w), _schur_in_m)
 
 
 def schur_product_lr(lam: Partition, mu: Partition) -> LinComb:
@@ -404,66 +394,14 @@ def eta_complete(n: int) -> LinComb:
     return LinComb({lam: 1 for lam in partitions_of(n)})
 
 
-@cache
-def _h_in_m(lam: Partition) -> LinComb:
-    """h_lam expanded in the monomial basis, by polynomial multiplication."""
-    w = weight(lam)
-    nvars = max(w, 1)
-    poly: dict[tuple[int, ...], int] = {(0,) * nvars: 1}
-    for part in lam:
-        # h_part = all monomials of degree part
-        hp: dict[tuple[int, ...], int] = {}
-        for exps in itertools.combinations_with_replacement(range(nvars), part):
-            e = [0] * nvars
-            for i in exps:
-                e[i] += 1
-            hp[tuple(e)] = 1
-        nxt: dict[tuple[int, ...], int] = {}
-        for ea, ca in poly.items():
-            for eb, cb in hp.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                nxt[e] = nxt.get(e, 0) + ca * cb
-        poly = nxt
-    collected: dict[Partition, int] = {}
-    for exps, c in poly.items():
-        stripped = tuple(sorted((x for x in exps if x), reverse=True))
-        if exps == stripped + (0,) * (nvars - len(stripped)):
-            collected[stripped] = c
-    return LinComb(collected)
-
-
 def to_h_basis(x: LinComb, w: int) -> LinComb:
-    """Express a homogeneous weight-w monomial-basis sum in the h-basis by
-    Gaussian elimination over exact rationals."""
-    parts = list(partitions_of(w))
-    idx = {p: i for i, p in enumerate(parts)}
-    n = len(parts)
-    rows = []
-    for lam in parts:
-        vec = [Fraction(0)] * n
-        for mu, c in _h_in_m(lam):
-            vec[idx[mu]] = c
-        rows.append(vec)
-    target = [Fraction(x[p]) for p in parts]
-    # solve coeffs @ rows = target
-    aug = [[rows[i][j] for i in range(n)] for j in range(n)]  # transpose
-    sol = _solve_exact(aug, target)
-    return LinComb({parts[i]: sol[i] for i in range(n)})
-
-
-def _solve_exact(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
-    n = len(b)
-    m = [row[:] + [b[i]] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if m[r][col] != 0)
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / Fraction(m[col][col])
-        m[col] = [v * inv for v in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [v - f * w for v, w in zip(m[r], m[col])]
-    return [m[i][n] for i in range(n)]
+    """Express a homogeneous weight-w monomial-basis sum in the h-basis: m to
+    s through the Kostka rows, then s to h through the Kostka columns, least
+    dominant first.  Both solves are integral, so integral input stays int."""
+    stray = sorted(lam for lam in x.terms if weight(lam) != w)
+    if stray:
+        raise ValueError(f"to_h_basis needs weight {w} throughout, got {stray}")
+    return _unitriangular_solve(_m_to_schur(x, w), reversed(partitions_of(w)), _h_in_schur)
 
 
 # ---------------------------------------------------------------------------

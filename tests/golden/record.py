@@ -8,8 +8,9 @@ writes two files next to this script:
   code of `natalg` run in-process with COLUMNS=80 (argparse wraps usage text
   to the terminal width, so the width is fixed here and in the replay);
 - return_types.txt: one line per call of a public function or method of
-  `linear`, `witt`, `symfun` and `normal_order` on a fixed input, giving the
-  type signature and the repr of the value.
+  `linear`, `witt`, `symfun`, `normal_order`, `dirichlet`, `additive`,
+  `series` and `spectral` on a fixed input, giving the type signature and
+  the repr of the value.
 
 tests/test_golden.py replays both.  A change that alters either file on
 purpose regenerates it and names every changed line in CHANGES.md.
@@ -105,6 +106,7 @@ def corpus_argv() -> list[list[str]]:
     add(["convolve", "--f", "nope", "--g", "zeta", "--upto", "3"])
     add(["convolve", "--f", "zeta", "--g", "zeta", "--upto", "0"])
     add(["convolve", "--f", "zeta", "--upto", "3"])
+    add(["convolve", "--f", "zeta", "--g", "zeta", "--upto", "-2"])
 
     for name in SERIES:
         add(["series", name, "--upto", "12"])
@@ -116,6 +118,8 @@ def corpus_argv() -> list[list[str]]:
     for phi in ARITH:
         add(["cocycle", "--phi", phi, "--upto", str(rng.randint(1, 6))])
     add(["cocycle", "--phi", "nope", "--upto", "2"])
+    add(["cocycle", "--phi", "moebius", "--upto", "0"])
+    add(["cocycle", "--phi", "moebius", "--upto", "1.5"])
 
     for op in ("sub", "div", "derive"):
         for _ in range(6):
@@ -158,6 +162,9 @@ def corpus_argv() -> list[list[str]]:
     for n in range(0, 10):
         add(["witt", "polys", str(n)])
     add(["witt", "polys"])
+    add(["witt", "polys", "x"])
+    add(["witt", "polys", "-3"])
+    add(["witt", "polys", "2.0"])
     add(["witt", "ghost"])
     add(["witt", "ghost", "1,2", "3"])
     add(["witt", "ghost", "1,x"])
@@ -200,7 +207,11 @@ def signature(value) -> str:
 
 def type_calls() -> list[tuple[str, object]]:
     """(label, thunk) for each public call on a fixed input."""
+    from natalg import additive as ad
+    from natalg import dirichlet as dr
     from natalg import normal_order as no
+    from natalg import series as se
+    from natalg import spectral as sp
     from natalg import symfun as sf
     from natalg import witt as wt
     from natalg.linear import LinComb, exact_div, normalize
@@ -212,6 +223,8 @@ def type_calls() -> list[tuple[str, object]]:
     W = [wt.MultiPoly.var(f"w{i}") for i in range(1, 4)]
     E = [wt.MultiPoly.var(f"e{i}") for i in range(1, 4)]
     half = Fraction(1, 2)
+    recip = dr.ArithFn(lambda n: Fraction(1, n), "recip")
+    ps = ad.PowerSeries([1, half, Fraction(4, 2)])
     return [
         ("linear.LinComb({1: 2, 2: 1/2, 3: 4/2})", lambda: x),
         ("linear.LinComb.single('k')", lambda: LinComb.single("k")),
@@ -298,6 +311,11 @@ def type_calls() -> list[tuple[str, object]]:
         ("symfun.eta_complete(3)", lambda: sf.eta_complete(3)),
         ("symfun.to_h_basis(eta_complete(3), 3)", lambda: sf.to_h_basis(sf.eta_complete(3), 3)),
         ("symfun.to_h_basis(m[1,1], 2)", lambda: sf.to_h_basis(LinComb.single((1, 1)), 2)),
+        ("symfun.to_h_basis(m[2,1]/3 - m[3]/2 + 2*m[1,1,1], 3)",
+         lambda: sf.to_h_basis(LinComb({(2, 1): Fraction(1, 3), (3,): Fraction(-1, 2),
+                                        (1, 1, 1): 2}), 3)),
+        ("symfun.to_h_basis(eta_complete(6), 6)", lambda: sf.to_h_basis(sf.eta_complete(6), 6)),
+        ("symfun.to_h_basis(m[3], 2)", lambda: sf.to_h_basis(LinComb.single((3,)), 2)),
         ("symfun.dominates((3,), (2, 1))", lambda: sf.dominates((3,), (2, 1))),
         ("symfun.render_sym(circle_product((1,), (1,)))",
          lambda: sf.render_sym(sf.circle_product((1,), (1,)))),
@@ -324,6 +342,67 @@ def type_calls() -> list[tuple[str, object]]:
          lambda: no.rb_identity_diagnostic(LinComb.single((1, 1)), LinComb.single((1, 1)))),
         ("normal_order.render_op(circle_power((1, 1), 3))",
          lambda: no.render_op(no.circle_power((1, 1), 3))),
+
+        ("dirichlet.zeta.values(6)", lambda: dr.zeta.values(6)),
+        ("dirichlet.moebius_fn.values(6)", lambda: dr.moebius_fn.values(6)),
+        ("dirichlet.ArithFn(1/n).values(4)", lambda: recip.values(4)),
+        ("dirichlet.ArithFn(1/n)(3)", lambda: recip(3)),
+        ("dirichlet.zeta.inverse().values(6)", lambda: dr.zeta.inverse().values(6)),
+        ("dirichlet.identity_fn.inverse()(6)", lambda: dr.identity_fn.inverse()(6)),
+        ("dirichlet.ArithFn(n + 1).inverse().values(6)",
+         lambda: dr.ArithFn(lambda n: n + 1, "succ").inverse().values(6)),
+        ("dirichlet.ArithFn(n + 1).inverse()(6)",
+         lambda: dr.ArithFn(lambda n: n + 1, "succ").inverse()(6)),
+        ("dirichlet.dirichlet_inverse(n + 1, upto=4).values(6)",
+         lambda: dr.dirichlet_inverse(lambda n: n + 1, upto=4).values(6)),
+        ("dirichlet.push_inverse(zeta, [0, 1], 6)",
+         lambda: dr.push_inverse([0] + [1] * 6, [0, 1], 6)),
+        ("dirichlet.push_inverse(2 + n, [0, 1/3], 4)",
+         lambda: dr.push_inverse([0, 3, 4, 5, 6], [0, Fraction(1, 3)], 4)),
+        ("dirichlet.dirichlet_convolve(zeta, identity, 12)",
+         lambda: dr.dirichlet_convolve(dr.zeta, dr.identity_fn, 12)),
+        ("dirichlet.antipode_mul(12)", lambda: dr.antipode_mul(12)),
+        ("dirichlet.antipode_unrenorm(12)", lambda: dr.antipode_unrenorm(12)),
+        ("dirichlet.coboundary2_mul(moebius, 2, 2)",
+         lambda: dr.coboundary2_mul(dr.moebius_fn, 2, 2)),
+        ("dirichlet.pairing_unrenorm(12, 12)", lambda: dr.pairing_unrenorm(12, 12)),
+        ("dirichlet.pairing_unrenorm(4, 8)", lambda: dr.pairing_unrenorm(4, 8)),
+        ("dirichlet.pairing_unrenorm_laplace(12, 12)",
+         lambda: dr.pairing_unrenorm_laplace(12, 12)),
+        ("dirichlet.pairing_unrenorm_laplace(4, 8)",
+         lambda: dr.pairing_unrenorm_laplace(4, 8)),
+        ("dirichlet.coproduct_mul_unrenorm(12)", lambda: dr.coproduct_mul_unrenorm(12)),
+
+        ("additive.antipode_add(3)", lambda: ad.antipode_add(3)),
+        ("additive.PowerSeries([1, 1/2, 4/2])", lambda: ps),
+        ("additive.PowerSeries([1, 2, 3], 'divided').to_ordinary()",
+         lambda: ad.PowerSeries([1, 2, 3], "divided").to_ordinary()),
+        ("additive.PowerSeries([1, 1/2, 4/2]).to_divided()", lambda: ps.to_divided()),
+        ("additive.series_multiply(ps, ps)", lambda: ad.series_multiply(ps, ps)),
+        ("additive.convolve_add(1, n, 4)",
+         lambda: ad.convolve_add(lambda n: 1, lambda n: n, 4)),
+
+        ("series.DirichletSeries([1, 1/2, 4/2])",
+         lambda: se.DirichletSeries([1, half, Fraction(4, 2)])),
+        ("series.DirichletSeries([1, 1/2, 4/2]).coeffs",
+         lambda: se.DirichletSeries([1, half, Fraction(4, 2)]).coeffs),
+        ("series.named_series('moebius', 6)", lambda: se.named_series("moebius", 6)),
+        ("series.named_series('moebius', 6).coeffs",
+         lambda: se.named_series("moebius", 6).coeffs),
+        ("series.series_inverse([2, 1, 1])",
+         lambda: se.series_inverse(se.DirichletSeries([2, 1, 1])).coeffs),
+        ("series.series_mul(zeta, zeta)",
+         lambda: se.series_mul(se.named_series("zeta", 6), se.named_series("zeta", 6)).coeffs),
+
+        ("spectral.gram_A(table_matrix_add(2))", lambda: sp.gram_A(sp.table_matrix_add(2))),
+        ("spectral.gram_B(table_matrix_add(2))", lambda: sp.gram_B(sp.table_matrix_add(2))),
+        ("spectral.gram_B(table_matrix_mul(3))", lambda: sp.gram_B(sp.table_matrix_mul(3))),
+        ("spectral.charpoly(gram_A(table_matrix_add(2)))",
+         lambda: sp.charpoly(sp.gram_A(sp.table_matrix_add(2)))),
+        ("spectral.charpoly(gram_B(table_matrix_mul(3)))",
+         lambda: sp.charpoly(sp.gram_B(sp.table_matrix_mul(3)))),
+        ("spectral.charpoly([[1/2, 1], [1, 0]])",
+         lambda: sp.charpoly([[half, 1], [1, 0]])),
     ]
 
 

@@ -125,6 +125,19 @@ def test_witt_subcommands(capsys):
     assert "G1 = v1*w1" in out
 
 
+def test_counts_must_be_integers_of_at_least_one(capsys):
+    for argv in (["witt", "polys", "x"], ["witt", "polys", "-3"], ["witt", "polys", "0"],
+                 ["witt", "polys", "2.0"],
+                 ["convolve", "--f", "zeta", "--g", "zeta", "--upto", "0"],
+                 ["cocycle", "--phi", "moebius", "--upto", "0"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error: ") and "integer >= 1" in err, argv
+    assert run(capsys, "witt", "polys", "1") == (0, "F1 = v1 + w1\nG1 = v1*w1\n", "")
+    assert run(capsys, "cocycle", "--phi", "zeta", "--upto", "1") == \
+        (0, "1-cocycle through 1\n", "")
+
+
 def test_witt_argument_errors(capsys):
     for argv in (["witt", "ghost"], ["witt", "add", "1,2"],
                  ["witt", "ghost", "1,x"], ["witt", "add", "1,2", "3,4,5"]):

@@ -83,9 +83,13 @@ def test_pairing_generator_rule():
     assert laplace_pairing((2, 1), (1, 1)) == LinComb({(3, 2): 1})
 
 
-@given(st.sampled_from(SMALL), st.sampled_from(SMALL))
-def test_pairing_is_symmetric(u, v):
-    assert laplace_pairing(u, v) == laplace_pairing(v, u)
+def test_pairing_is_symmetric():
+    # every same-length pair up to weight 8; unequal lengths pair to zero
+    parts = [p for w in range(9) for p in partitions_of(w)]
+    for u in parts:
+        for v in parts:
+            if len(u) == len(v):
+                assert laplace_pairing(u, v) == laplace_pairing(v, u), (u, v)
 
 
 def test_circle_known_products():
@@ -134,11 +138,12 @@ def test_kostka_values():
 
 
 def test_kostka_positive_iff_dominant():
-    parts = partitions_of(4)
-    for lam in parts:
-        assert kostka(lam, lam) == 1
-        for mu in parts:
-            assert (kostka(lam, mu) > 0) == dominates(lam, mu)
+    for w in range(8):
+        parts = partitions_of(w)
+        for lam in parts:
+            assert kostka(lam, lam) == 1
+            for mu in parts:
+                assert (kostka(lam, mu) > 0) == dominates(lam, mu)
 
 
 def test_dominance_is_a_partial_order():
@@ -191,6 +196,45 @@ def test_h_basis_conversion():
     )
     # the weight-n monomial sum is exactly h_n
     assert to_h_basis(eta_complete(3), 3) == LinComb({(3,): 1})
+
+
+def h_in_m(lam):
+    """h_lam in the monomial basis as a circle product of complete functions;
+    the circle product is checked against monomial_oracle above."""
+    out = LinComb.single(())
+    for part in lam:
+        out = circle_sum(out, eta_complete(part))
+    return out
+
+
+H_IN_M = {lam: h_in_m(lam) for w in range(9) for lam in partitions_of(w)}
+
+
+def test_h_basis_of_each_complete_product_is_one_term():
+    for lam, h in H_IN_M.items():
+        assert to_h_basis(h, weight(lam)) == LinComb.single(lam), lam
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 7).flatmap(lambda w: st.tuples(
+    st.just(w),
+    st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=6),
+             min_size=len(partitions_of(w)), max_size=len(partitions_of(w))))))
+def test_h_basis_round_trip(case):
+    w, coeffs = case
+    x = LinComb(dict(zip(partitions_of(w), coeffs)))
+    got = to_h_basis(x, w)
+    back = LinComb.zero()
+    for lam, c in got:
+        back = back + H_IN_M[lam].scale(c)
+    assert back == x
+
+
+def test_h_basis_refuses_inhomogeneous_input():
+    with pytest.raises(ValueError, match=r"\(3,\)"):
+        to_h_basis(LinComb.single((3,)), 2)
+    with pytest.raises(ValueError, match=r"\(1,\)"):
+        to_h_basis(LinComb({(1,): 1, (2,): 1}), 2)
 
 
 def test_render_formats():
