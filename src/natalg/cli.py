@@ -53,94 +53,101 @@ def _parse_vector(text: str) -> list[Fraction]:
         raise ValueError(f"vector must be comma-separated rationals, got {text!r}")
 
 
+ARITH_FNS = {f.name: f for f in (dirichlet.zeta, dirichlet.moebius_fn, dirichlet.identity_fn,
+                                  dirichlet.liouville, dirichlet.unit_fn)}
+
+
 def _arith_fn(name: str) -> dirichlet.ArithFn:
-    table = {
-        "zeta": dirichlet.zeta,
-        "moebius": dirichlet.moebius_fn,
-        "identity": dirichlet.identity_fn,
-        "liouville": dirichlet.liouville,
-        "unit": dirichlet.unit_fn,
-    }
-    if name in table:
-        return table[name]
+    if name in ARITH_FNS:
+        return ARITH_FNS[name]
     if name.startswith("id") and name[2:].isdigit():
         return dirichlet.id_power(int(name[2:]))
-    raise ValueError(
-        f"unknown arithmetic function {name!r}; "
-        "expected zeta, moebius, identity, liouville, unit, or idK"
-    )
+    raise ValueError(f"unknown arithmetic function {name!r}; expected {', '.join(ARITH_FNS)}, or idK")
 
 
-def _render_pairs(lc: LinComb) -> str:
-    if not lc:
-        return "0"
-    chunks = []
-    for key, c in sorted(lc.terms.items()):
-        body = f"({key[0]}, {key[1]})"
-        chunks.append(body if c == 1 else f"{c}*{body}")
-    return " + ".join(chunks)
-
-
-def _render_ints(lc: LinComb) -> str:
-    if not lc:
-        return "0"
-    chunks = []
-    for key, c in sorted(lc.terms.items()):
-        chunks.append(str(key) if c == 1 else f"{c}*{key}")
-    return " + ".join(chunks)
-
-
-def _vec_str(v) -> str:
-    return ",".join(str(x) for x in v)
+def _render(lc: LinComb) -> str:
+    return " + ".join(str(k) if c == 1 else f"{c}*{k}" for k, c in sorted(lc.terms.items())) or "0"
 
 
 # ---------------------------------------------------------------------------
-# subcommand bodies
+# families and ops: each is declared once, here, and both argparse's choices
+# and the dispatch read it.  An entry looks its library function up when
+# called, so a wrapper installed later on the module attribute still sees it.
+
+COPRODUCTS = {
+    "add": lambda n: additive.coproduct_add(n),
+    "mul": lambda n: dirichlet.coproduct_mul(n),
+    "add-unrenorm": lambda n: additive.coproduct_add_unrenorm(n),
+    "mul-unrenorm": lambda n: dirichlet.coproduct_mul_unrenorm(n),
+}
+
+ANTIPODES = {
+    "add": lambda n: additive.antipode_add(n),
+    "mul": lambda n: dirichlet.antipode_mul(n),
+    "unrenorm": lambda n: dirichlet.antipode_unrenorm(n),
+}
+
+BRANCHES = {
+    "sub": lambda b, n: additive.branch_subtract(b, n),
+    "div": lambda b, n: dirichlet.branch_divide(b, n),
+    "derive": lambda b, n: _render(dirichlet.branch_derive(b, n)),
+}
+
+# op -> (the basis its product is written in, the product)
+SYMFUN_PRODUCTS = {
+    "circle": ("m", lambda lam, mu: symfun.circle_product(lam, mu)),
+    "lr": ("s", lambda lam, mu: symfun.schur_product_lr(lam, mu)),
+}
 
 
-def _cmd_coproduct(args) -> int:
-    fam, n = args.family, args.n
-    if fam == "add":
-        lc = additive.coproduct_add(n)
-    elif fam == "add-unrenorm":
-        lc = additive.coproduct_add_unrenorm(n)
-    elif fam == "mul":
-        lc = dirichlet.coproduct_mul(n)
-    else:
-        lc = dirichlet.coproduct_mul_unrenorm(n)
-    print(_render_pairs(lc))
-    return 0
+def _on_vectors(op, *texts: str) -> str:
+    return ",".join(str(x) for x in op(*map(_parse_vector, texts)))
 
 
-def _cmd_antipode(args) -> int:
-    fam, n = args.family, args.n
-    if fam == "add":
-        print(additive.antipode_add(n))
-    elif fam == "mul":
-        print(dirichlet.antipode_mul(n))
-    else:
-        print(dirichlet.antipode_unrenorm(n))
-    return 0
+def _witt_polys(n: str | int = 3) -> str:
+    F, G = witt.universal_polys(_count(n, "witt polys N"))
+    return "\n".join([f"F{i} = {f.render()}" for i, f in enumerate(F, start=1)]
+                     + [f"G{i} = {g.render()}" for i, g in enumerate(G, start=1)])
 
 
-def _cmd_convolve(args) -> int:
+# op -> (the argument counts it accepts, how its arity error says so, the op)
+WITT_OPS = {
+    "ghost": ((1,), "exactly one vector", lambda v: _on_vectors(witt.ghost, v)),
+    "add": ((2,), "exactly two vectors", lambda u, v: _on_vectors(witt.witt_add, u, v)),
+    "mul": ((2,), "exactly two vectors", lambda u, v: _on_vectors(witt.witt_mul, u, v)),
+    "polys": ((0, 1), "at most one count", _witt_polys),
+    "e2w": ((1,), "exactly one vector", lambda v: _on_vectors(witt.e_to_w, v)),
+}
+
+
+# ---------------------------------------------------------------------------
+# subcommand bodies (the one-line ones are lambdas in the parser): each
+# prints, and only selftest returns an exit code
+
+
+def _cmd_witt(args) -> None:
+    counts, arity, op = WITT_OPS[args.op]
+    if len(args.vectors) not in counts:
+        raise ValueError(f"witt {args.op} needs {arity}")
+    print(op(*args.vectors))
+
+
+def _cmd_convolve(args) -> None:
     f, g = _arith_fn(args.f), _arith_fn(args.g)
     for n in range(1, _count(args.upto, "--upto") + 1):
         print(f"{n} {dirichlet.dirichlet_convolve(f, g, n)}")
-    return 0
 
 
-def _cmd_series(args) -> int:
+def _cmd_series(args) -> None:
     s = series.named_series(args.name, args.upto)
     if args.csv:
         print(series.to_csv(s))
     else:
         for n in range(1, args.upto + 1):
             print(f"{n} {s[n]}")
-    return 0
 
 
-def _cmd_cocycle(args) -> int:
+def _cmd_cocycle(args) -> None:
     phi = _arith_fn(args.phi)
     upto = _count(args.upto, "--upto")
     for n in range(1, upto + 1):
@@ -149,96 +156,39 @@ def _cmd_cocycle(args) -> int:
             want = 1 if n == 1 and m == 1 else 0
             if got != want:
                 print(f"deviates at ({n}, {m}): {got}")
-                return 0
+                return
     print(f"1-cocycle through {upto}")
-    return 0
 
 
-def _cmd_branch(args) -> int:
-    op, b, n = args.op, args.b, args.n
-    if op == "sub":
-        print(additive.branch_subtract(b, n))
-    elif op == "div":
-        print(dirichlet.branch_divide(b, n))
-    else:
-        print(_render_ints(dirichlet.branch_derive(b, n)))
-    return 0
-
-
-def _cmd_symfun(args) -> int:
-    lam = _parse_partition(args.lam)
-    mu = _parse_partition(args.mu)
-    if args.op == "circle":
-        result = symfun.circle_product(lam, mu)
-        basis = "m"
-    else:
-        result = symfun.schur_product_lr(lam, mu)
-        basis = "s"
-    if getattr(args, "json", False):
+def _cmd_symfun(args) -> None:
+    basis, product = SYMFUN_PRODUCTS[args.op]
+    result = product(_parse_partition(args.lam), _parse_partition(args.mu))
+    if args.json:
         items = sorted(result.terms.items(), key=lambda kv: (symfun.weight(kv[0]), kv[0]))
-        payload = {
-            "basis": basis,
-            "terms": [{"partition": list(p), "coeff": str(c)} for p, c in items],
-        }
-        print(json.dumps(payload, sort_keys=True))
+        terms = [{"partition": list(p), "coeff": str(c)} for p, c in items]
+        print(json.dumps({"basis": basis, "terms": terms}, sort_keys=True))
     else:
         print(symfun.render_sym(result, basis))
-    return 0
 
 
-def _cmd_normalorder(args) -> int:
-    print(normal_order.render_op(normal_order.circle_power((1, 1), args.n)))
-    return 0
-
-
-def _cmd_stirling(args) -> int:
+def _cmd_stirling(args) -> None:
     if args.n < 1:
         raise ValueError("the Stirling row needs n >= 1")
     print(" ".join(str(normal_order.stirling2(args.n, k)) for k in range(1, args.n + 1)))
-    return 0
 
 
-def _cmd_witt(args) -> int:
-    if args.op in ("ghost", "e2w") and len(args.vectors) != 1:
-        raise ValueError(f"witt {args.op} needs exactly one vector")
-    if args.op == "ghost":
-        print(_vec_str(witt.ghost(_parse_vector(args.vectors[0]))))
-    elif args.op in ("add", "mul"):
-        if len(args.vectors) != 2:
-            raise ValueError(f"witt {args.op} needs exactly two vectors")
-        u, v = (_parse_vector(t) for t in args.vectors)
-        fn = witt.witt_add if args.op == "add" else witt.witt_mul
-        print(_vec_str(fn(u, v)))
-    elif args.op == "polys":
-        n = _count(args.vectors[0], "witt polys N") if args.vectors else 3
-        F, G = witt.universal_polys(n)
-        for i, f in enumerate(F, start=1):
-            print(f"F{i} = {f.render()}")
-        for i, g in enumerate(G, start=1):
-            print(f"G{i} = {g.render()}")
-    else:  # e2w
-        print(_vec_str(witt.e_to_w(_parse_vector(args.vectors[0]))))
-    return 0
-
-
-def _cmd_appendix(args) -> int:
-    ta = spectral.table_matrix_add(args.upto)
-    tm = spectral.table_matrix_mul(args.upto)
-    if args.what == "table":
-        print("# additive table")
-        print(spectral.matrix_to_csv(ta.rows, ta.row_labels, ta.col_labels), end="")
-        print("# multiplicative table")
-        print(spectral.matrix_to_csv(tm.rows, tm.row_labels, tm.col_labels), end="")
-    else:
-        print("# additive A")
-        print(spectral.matrix_to_csv(spectral.gram_A(ta), ta.row_labels, None), end="")
-        print("# additive B")
-        print(spectral.matrix_to_csv(spectral.gram_B(ta), ta.col_labels, None), end="")
-        print("# multiplicative A")
-        print(spectral.matrix_to_csv(spectral.gram_A(tm), tm.row_labels, None), end="")
-        print("# multiplicative B")
-        print(spectral.matrix_to_csv(spectral.gram_B(tm), tm.col_labels, None), end="")
-    return 0
+def _cmd_appendix(args) -> None:
+    for side, table_matrix in (("additive", spectral.table_matrix_add),
+                               ("multiplicative", spectral.table_matrix_mul)):
+        t = table_matrix(args.upto)
+        if args.what == "table":
+            sections = [("table", t.rows, t.row_labels, t.col_labels)]
+        else:
+            sections = [("A", spectral.gram_A(t), t.row_labels, None),
+                        ("B", spectral.gram_B(t), t.col_labels, None)]
+        for name, matrix, labels, cols in sections:
+            print(f"# {side} {name}")
+            print(spectral.matrix_to_csv(matrix, labels, cols), end="")
 
 
 def _cmd_selftest(args) -> int:
@@ -253,74 +203,69 @@ def _cmd_selftest(args) -> int:
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="natalg",
-        description="Exact convolution algebra on the natural numbers.",
-    )
+    p = argparse.ArgumentParser(prog="natalg",
+                                description="Exact convolution algebra on the natural numbers.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    q = sub.add_parser("coproduct", help="splittings of n under + or *")
-    q.add_argument("family", choices=["add", "mul", "add-unrenorm", "mul-unrenorm"])
-    q.add_argument("n", type=int)
-    q.set_defaults(func=_cmd_coproduct)
+    def command(name: str, func, help: str) -> argparse.ArgumentParser:
+        q = sub.add_parser(name, help=help)
+        q.set_defaults(func=func)
+        return q
 
-    q = sub.add_parser("antipode", help="antipode value at n")
-    q.add_argument("family", choices=["add", "mul", "unrenorm"])
+    q = command("coproduct", lambda args: print(_render(COPRODUCTS[args.family](args.n))),
+                "splittings of n under + or *")
+    q.add_argument("family", choices=COPRODUCTS)
     q.add_argument("n", type=int)
-    q.set_defaults(func=_cmd_antipode)
 
-    q = sub.add_parser("convolve", help="Dirichlet convolution table of two named functions")
+    q = command("antipode", lambda args: print(ANTIPODES[args.family](args.n)),
+                "antipode value at n")
+    q.add_argument("family", choices=ANTIPODES)
+    q.add_argument("n", type=int)
+
+    q = command("convolve", _cmd_convolve, "Dirichlet convolution table of two named functions")
     q.add_argument("--f", required=True)
     q.add_argument("--g", required=True)
     q.add_argument("--upto", type=int, required=True)
-    q.set_defaults(func=_cmd_convolve)
 
-    q = sub.add_parser("series", help="coefficients of a named Dirichlet series")
+    q = command("series", _cmd_series, "coefficients of a named Dirichlet series")
     q.add_argument("name")
     q.add_argument("--upto", type=int, required=True)
     q.add_argument("--csv", action="store_true")
-    q.set_defaults(func=_cmd_series)
 
-    q = sub.add_parser("cocycle", help="first deviation of the 2-coboundary of phi")
+    q = command("cocycle", _cmd_cocycle, "first deviation of the 2-coboundary of phi")
     q.add_argument("--phi", required=True)
     q.add_argument("--upto", type=int, required=True)
-    q.set_defaults(func=_cmd_cocycle)
 
-    q = sub.add_parser("branch", help="branching operators: truncated subtraction, division, derivation")
-    q.add_argument("op", choices=["sub", "div", "derive"])
+    q = command("branch", lambda args: print(BRANCHES[args.op](args.b, args.n)),
+                "branching operators: truncated subtraction, division, derivation")
+    q.add_argument("op", choices=BRANCHES)
     q.add_argument("b", type=int)
     q.add_argument("n", type=int)
-    q.set_defaults(func=_cmd_branch)
 
-    q = sub.add_parser("symfun", help="symmetric-function products")
-    q.add_argument("op", choices=["circle", "lr"])
+    q = command("symfun", _cmd_symfun, "symmetric-function products")
+    q.add_argument("op", choices=SYMFUN_PRODUCTS)
     q.add_argument("lam", metavar="LAMBDA", help="partition, e.g. 5,2,2")
     q.add_argument("mu", metavar="MU")
     q.add_argument("--json", action="store_true")
-    q.set_defaults(func=_cmd_symfun)
 
-    q = sub.add_parser("normalorder", help="n-th circle power of :a†a:")
+    q = command("normalorder",
+                lambda args: print(normal_order.render_op(normal_order.circle_power((1, 1), args.n))),
+                "n-th circle power of :a†a:")
     q.add_argument("power", choices=["power"], metavar="power")
     q.add_argument("n", type=int)
-    q.set_defaults(func=_cmd_normalorder)
 
-    q = sub.add_parser("stirling", help="Stirling row S(n,1..n)")
+    q = command("stirling", _cmd_stirling, "Stirling row S(n,1..n)")
     q.add_argument("n", type=int)
-    q.set_defaults(func=_cmd_stirling)
 
-    q = sub.add_parser("witt", help="ghost map, coordinate ring ops, universal polynomials")
-    q.add_argument("op", choices=["ghost", "add", "mul", "polys", "e2w"])
+    q = command("witt", _cmd_witt, "ghost map, coordinate ring ops, universal polynomials")
+    q.add_argument("op", choices=WITT_OPS)
     q.add_argument("vectors", nargs="*", help="comma-separated rational vectors (or N for polys)")
-    q.set_defaults(func=_cmd_witt)
 
-    q = sub.add_parser("appendix", help="table matrices and their Gram products as CSV")
+    q = command("appendix", _cmd_appendix, "table matrices and their Gram products as CSV")
     q.add_argument("what", choices=["gram", "table"])
     q.add_argument("--upto", type=int, required=True)
-    q.set_defaults(func=_cmd_appendix)
 
-    q = sub.add_parser("selftest", help="run the full acceptance suite")
-    q.set_defaults(func=_cmd_selftest)
-
+    command("selftest", _cmd_selftest, "run the full acceptance suite")
     return p
 
 
@@ -329,7 +274,7 @@ def main(argv=None) -> int:
     # parser (nargs="*" makes a fresh list per parse)
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args) or 0
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from functools import cache
 
-from .linear import LinComb
+from .linear import LinComb, Scalar, exact_div
 
 __all__ = [
     "pairing_F",
@@ -44,7 +44,7 @@ def _check_word(w: Word) -> None:
         raise ValueError(f"negative exponents in word {w}")
 
 
-def pairing_F(u: Word, v: Word) -> Fraction:
+def pairing_F(u: Word, v: Word) -> int:
     """Contraction pairing: nonzero only between pure annihilators on the left
     and pure creators on the right with equal power, where it counts the
     perfect matchings: F(a^j, a†^j) = j!.
@@ -52,8 +52,8 @@ def pairing_F(u: Word, v: Word) -> Fraction:
     _check_word(u)
     _check_word(v)
     if u[0] == 0 and v[1] == 0 and u[1] == v[0]:
-        return Fraction(math.factorial(u[1]))
-    return Fraction(0)
+        return math.factorial(u[1])
+    return 0
 
 
 def circle_op(u: Word, v: Word) -> LinComb:
@@ -133,21 +133,21 @@ def ccr_check(n: int) -> bool:
     return lhs - rhs == 1
 
 
-def inner_product(n: int, m: int) -> Fraction:
+def inner_product(n: int, m: int) -> Scalar:
     """<n|m> with normalized states: annihilate n times against a†^m, project
     onto the vacuum, divide by n!."""
     if n < 0 or m < 0:
         raise ValueError("need nonnegative occupation numbers")
-    coeff = Fraction(1)
+    coeff = 1
     power = m
     for _ in range(n):
         c, power = derive_annihilate(power)
         coeff *= c
         if coeff == 0:
-            return Fraction(0)
+            return 0
     if power != 0:
-        return Fraction(0)  # vacuum projection
-    return coeff / math.factorial(n)
+        return 0  # vacuum projection
+    return exact_div(coeff, math.factorial(n))
 
 
 # ---------------------------------------------------------------------------

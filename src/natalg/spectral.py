@@ -8,8 +8,8 @@ No floats anywhere: eigen-data is handled through charpolys over Fraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .additive import coproduct_add
 from .dirichlet import coproduct_mul
@@ -30,8 +30,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TableMatrix:
+class TableMatrix(NamedTuple):
     rows: tuple[tuple[int, ...], ...]
     row_labels: tuple[int, ...]
     col_labels: tuple[tuple[int, int], ...]

@@ -165,6 +165,8 @@ def corpus_argv() -> list[list[str]]:
     add(["witt", "polys", "x"])
     add(["witt", "polys", "-3"])
     add(["witt", "polys", "2.0"])
+    add(["witt", "polys", "3", "4"])
+    add(["witt", "polys", "x", "4"])
     add(["witt", "ghost"])
     add(["witt", "ghost", "1,2", "3"])
     add(["witt", "ghost", "1,x"])

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import natalg
-from natalg import cli
+from natalg import additive, cli, dirichlet, spectral, symfun, witt
 from natalg.cli import main
 
 
@@ -140,9 +140,47 @@ def test_counts_must_be_integers_of_at_least_one(capsys):
 
 def test_witt_argument_errors(capsys):
     for argv in (["witt", "ghost"], ["witt", "add", "1,2"],
-                 ["witt", "ghost", "1,x"], ["witt", "add", "1,2", "3,4,5"]):
+                 ["witt", "ghost", "1,x"], ["witt", "add", "1,2", "3,4,5"],
+                 ["witt", "polys", "3", "4"]):
         code, _, err = run(capsys, *argv)
         assert code == 1 and err.startswith("error:")
+
+
+LIBRARY_CALLS = [
+    (additive, "coproduct_add", ["coproduct", "add", "2"]),
+    (dirichlet, "antipode_unrenorm", ["antipode", "unrenorm", "12"]),
+    (dirichlet, "branch_derive", ["branch", "derive", "2", "12"]),
+    (symfun, "schur_product_lr", ["symfun", "lr", "1", "1"]),
+    (witt, "witt_mul", ["witt", "mul", "1,2", "3,4"]),
+    (spectral, "table_matrix_mul", ["appendix", "table", "--upto", "2"]),
+]
+
+
+@pytest.mark.parametrize("module, name, argv", LIBRARY_CALLS, ids=[c[1] for c in LIBRARY_CALLS])
+def test_dispatch_calls_the_current_module_attribute(capsys, monkeypatch, module, name, argv):
+    # a wrapper installed on the library function after import (as the
+    # bench's layer tracer does) must see the CLI's call
+    original, calls = getattr(module, name), []
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0 and calls
+
+
+def test_importing_the_cli_stays_light():
+    # dataclasses pulls in inspect; acceptance is imported by selftest only
+    env = dict(os.environ, PYTHONPATH=str(Path(natalg.__file__).parents[1]))
+    probe = ("import sys; before = set(sys.modules); import natalg.cli; "
+             "print(' '.join(sorted(set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    loaded = set(proc.stdout.split())
+    assert "natalg.cli" in loaded
+    assert loaded.isdisjoint({"dataclasses", "inspect", "natalg.acceptance"})
 
 
 def test_appendix_sections(capsys):

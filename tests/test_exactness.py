@@ -182,6 +182,8 @@ def test_operator_and_polynomial_coefficients_are_exact():
             assert exact(no.circle_power(word, n).terms.values())
     assert exact(no.R_iter(4).terms.values())
     assert type(no.stirling2_from_circle(6, 3)) is int
+    assert exact(no.pairing_F((0, j), (k, 0)) for j in range(5) for k in range(5))
+    assert exact(no.inner_product(n, m) for n in range(6) for m in range(6))
     F, G = wt.universal_polys(8)
     assert all(exact(p.terms.values()) for p in F + G)
     half = (wt.MultiPoly.var("x") + 1) / 2
