@@ -278,6 +278,9 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:  # str(MemoryError()) is empty
+        print("error: out of memory; try a smaller input", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

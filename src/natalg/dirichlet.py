@@ -61,17 +61,13 @@ class ArithFn:
     """A function on positive integers with a value cache and convolution algebra.
 
     The evaluator must be total and deterministic; values are memoized as
-    exact scalars (int when integral, else Fraction).  The multiplicativity
-    hints are advisory labels, checkable via the is_* methods.
+    exact scalars (int when integral, else Fraction).  Multiplicativity is
+    checked on a range by the is_* methods, not declared.
     """
 
-    def __init__(self, fn: Callable[[int], Scalar], name: str = "?",
-                 multiplicative: bool | None = None,
-                 completely_multiplicative: bool | None = None):
+    def __init__(self, fn: Callable[[int], Scalar], name: str = "?"):
         self._fn = fn
         self.name = name
-        self.multiplicative = multiplicative
-        self.completely_multiplicative = completely_multiplicative
         self._cache: dict[int, Scalar] = {}
         self._inverse: "ArithFn | None" = None
         # set on a function made by inverse(): the function it inverts, and
@@ -150,21 +146,16 @@ class ArithFn:
         return f"ArithFn({self.name})"
 
 
-zeta = ArithFn(lambda n: 1, "zeta", multiplicative=True,
-               completely_multiplicative=True)
-moebius_fn = ArithFn(moebius, "moebius", multiplicative=True,
-                     completely_multiplicative=False)
-identity_fn = ArithFn(lambda n: n, "identity", multiplicative=True,
-                      completely_multiplicative=True)
-liouville = ArithFn(lambda n: (-1) ** omega_grade(n), "liouville",
-                    multiplicative=True, completely_multiplicative=True)
-unit_fn = ArithFn(lambda n: 1 if n == 1 else 0, "unit", multiplicative=True)
+zeta = ArithFn(lambda n: 1, "zeta")
+moebius_fn = ArithFn(moebius, "moebius")
+identity_fn = ArithFn(lambda n: n, "identity")
+liouville = ArithFn(lambda n: (-1) ** omega_grade(n), "liouville")
+unit_fn = ArithFn(lambda n: 1 if n == 1 else 0, "unit")
 
 
 def id_power(k: int) -> ArithFn:
     """n -> n^k, completely multiplicative for every fixed k >= 0."""
-    return ArithFn(lambda n: n**k, f"id^{k}", multiplicative=True,
-                   completely_multiplicative=True)
+    return ArithFn(lambda n: n**k, f"id^{k}")
 
 
 def dirichlet_convolve(f: Callable[[int], Scalar], g: Callable[[int], Scalar],
@@ -223,6 +214,17 @@ def coproduct_mul(n: int) -> LinComb:
     return LinComb({(d, n // d): 1 for d in divisors(n)})
 
 
+def _weight(*parts: int) -> int:
+    """w(n) = prod_p r_p! for n = prod_p p^r_p, n the product of the parts:
+    renormalization is the diagonal rescaling by w.  Each part is factorized
+    on its own, so a product of large primes is never factorized whole."""
+    r: dict[int, int] = {}
+    for part in parts:
+        for p, e in factorize(part):
+            r[p] = r.get(p, 0) + e
+    return math.prod(map(math.factorial, r.values()))
+
+
 def coproduct_mul_proper(n: int) -> LinComb:
     """coproduct_mul minus the unit-bearing terms 1*n and n*1."""
     _check_positive(n)
@@ -255,44 +257,31 @@ def coproduct_mul_unrenorm(n: int) -> LinComb:
 def coproduct_mul_unrenorm_iterated(p: int, r: int) -> LinComb:
     """(r-1)-fold iteration of the weighted coproduct on p^r, as r-leg tuples.
 
-    Built by repeatedly splitting the first leg; weights multiply into the
-    multinomial r!/(s_1! ... s_r!) on the fully split term.
+    The plain (r-1)-fold split of p^r, each tuple rescaled by
+    w(p^r) / prod w(leg), the multinomial r!/(s_1! ... s_r!).
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if r < 1:
         raise ValueError("need r >= 1")
-    out = LinComb.single((p**r,))
+    splits = [(p**r,)]
     for _ in range(r - 1):
-        expanded: dict = {}
-        for legs, c in out:
-            head = legs[0]
-            e = factorize(head)[0][1] if head > 1 else 0
-            for s in range(e + 1):
-                key = (p**s, p ** (e - s)) + legs[1:]
-                expanded[key] = expanded.get(key, 0) + c * math.comb(e, s)
-        out = LinComb(expanded)
-    return out
-
-
-@cache
-def _antipode_mul_rec(n: int) -> int:
-    # triangular solve of sum_{d|n} S(d)*(n/d) = delta_{1,n}
-    if n == 1:
-        return 1
-    return -sum(_antipode_mul_rec(d) * (n // d) for d in divisors(n) if d < n)
+        splits = [(d, legs[0] // d) + legs[1:] for legs in splits for d in divisors(legs[0])]
+    total = _weight(p**r)
+    return LinComb({legs: total // math.prod(map(_weight, legs)) for legs in splits})
 
 
 def antipode_mul(n: int, check: bool = True) -> int:
     """Antipode of the divisor coproduct: n * mu(n).
 
     With check=True (default) the closed form is verified against the
-    defining recursion on every call; the recursion is memoized so bulk
-    sweeps stay cheap.
+    defining recursion S * id = epsilon, whose solution is identity_fn's
+    inverse; its value cache is the one identity_fn.inverse().values fills,
+    so bulk sweeps stay cheap.
     """
     _check_positive(n)
     closed = n * moebius(n)
-    if check and _antipode_mul_rec(n) != closed:
+    if check and identity_fn.inverse()(n) != closed:
         raise AssertionError(f"antipode recursion mismatch at {n}")
     return closed
 
@@ -408,16 +397,12 @@ def branch_derive(p: int, n: int) -> LinComb:
 def sharp_multiply(n: int, m: int) -> tuple[int, int]:
     """Divided-power product on the sharp basis: returns (coefficient, n*m).
 
-    The coefficient is prod_i C(r_i + s_i, r_i) over the shared prime support.
+    The coefficient is w(nm) / (w(n) w(m)), that is prod_i C(r_i + s_i, r_i)
+    over the shared prime support.
     """
     _check_positive(n)
     _check_positive(m)
-    rn = dict(factorize(n))
-    rm = dict(factorize(m))
-    coeff = 1
-    for p in set(rn) | set(rm):
-        coeff *= math.comb(rn.get(p, 0) + rm.get(p, 0), rn.get(p, 0))
-    return coeff, n * m
+    return _weight(n, m) // (_weight(n) * _weight(m)), n * m
 
 
 # ---------------------------------------------------------------------------
@@ -425,12 +410,10 @@ def sharp_multiply(n: int, m: int) -> tuple[int, int]:
 
 
 def pairing_unrenorm(n: int, m: int) -> int:
-    """Diagonal pairing: prod_i r_i! when n = m, zero otherwise."""
+    """Diagonal pairing: w(n) = prod_i r_i! when n = m, zero otherwise."""
     _check_positive(n)
     _check_positive(m)
-    if n != m:
-        return 0
-    return math.prod(math.factorial(r) for _, r in factorize(n))
+    return _weight(n) if n == m else 0
 
 
 @cache

@@ -201,6 +201,17 @@ def test_domain_errors_exit_1(capsys):
     assert err.startswith("error:")
 
 
+def test_memory_error_is_one_error_line(capsys, monkeypatch):
+    # stands in for a coproduct too large to hold, without allocating it;
+    # str(MemoryError()) is empty, so the message must not come from it
+    def exhausted(n):
+        raise MemoryError
+
+    monkeypatch.setitem(cli.COPRODUCTS, "add", exhausted)
+    assert run(capsys, "coproduct", "add", "20000000") == \
+        (1, "", "error: out of memory; try a smaller input\n")
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["nope"])

@@ -243,6 +243,10 @@ def test_sharp_product_carries_divided_power_coefficient():
     assert dh.sharp_multiply(2, 4) == (3, 8)
     assert dh.sharp_multiply(6, 10) == (2, 60)
     assert dh.sharp_multiply(2, 3) == (1, 6)
+    # the square of a 19-digit prime is beyond Pollard rho's budget, so the
+    # coefficient must come from the factors, not from factorizing n * m
+    p = 1000000000000000003
+    assert dh.sharp_multiply(p, p) == (2, p * p)
 
 
 def test_pairing_diagonal_is_factorial_product():
