@@ -34,7 +34,8 @@ _MR_MORE_BASES = (43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 # Pollard rho steps (one step is one x -> x^2 + c) allowed per split, about a
 # second of work.  Rho needs about sqrt(p) steps to find a prime factor p, so
 # a composite cofactor whose least prime factor is above roughly 10^11 can be
-# refused with a ValueError instead of running for minutes or hours.
+# refused with a ValueError instead of running for minutes or hours.  A
+# perfect power is split by its integer root first (_power_root).
 _RHO_BUDGET = 1 << 21
 
 
@@ -154,6 +155,22 @@ def _rho_brent(n: int) -> int:
             return g
 
 
+def _power_root(x: int) -> int:
+    """r when x = r**k for some k >= 2, else 0, for an x with no prime factor
+    below _TRIAL_BOUND: r >= _TRIAL_BOUND > 2**9 then bounds k by
+    x.bit_length() // 9.  Rho would need about sqrt(r) steps on such an x."""
+    for k in range(2, x.bit_length() // 9 + 1):
+        if k == 2:
+            r = math.isqrt(x)
+        else:  # integer Newton from an overestimate down to floor(x**(1/k))
+            r = 1 << -(-x.bit_length() // k)
+            while (s := ((k - 1) * r + x // r ** (k - 1)) // k) < r:
+                r = s
+        if r ** k == x:
+            return r
+    return 0
+
+
 def _large_prime_factors(m: int) -> list[int]:
     """The prime factors, with multiplicity, of an m that trial division
     below _TRIAL_BOUND left without small factors."""
@@ -164,7 +181,7 @@ def _large_prime_factors(m: int) -> list[int]:
         if x < _TRIAL_BOUND * _TRIAL_BOUND or _strong_probable_prime(x):
             primes.append(x)
         else:
-            d = _rho_brent(x)
+            d = _power_root(x) or _rho_brent(x)
             todo += (d, x // d)
     return primes
 

@@ -3,6 +3,11 @@ multiplication on the nonnegative integers, their two Gram products, the
 summed operator identities, and exact characteristic polynomials used to
 compare nonzero spectra.
 
+Both Gram products are read from the nonzero entries of the table, and a
+charpoly is taken per connected block of its matrix: for a table matrix
+every column has one 1, so M^T M is all-ones blocks, one per row label,
+and M M^T is diagonal.
+
 No floats anywhere: eigen-data is handled through charpolys over Fraction.
 """
 
@@ -60,21 +65,28 @@ def table_matrix_mul(N: int) -> TableMatrix:
     return TableMatrix(rows, tuple(range(1, N + 1)), tuple(cols))
 
 
+def _outer_sum(vectors, size: int) -> list[list[int]]:
+    """Sum of v v^T over the vectors, each read only at its nonzero entries."""
+    out = [[0] * size for _ in range(size)]
+    for v in vectors:
+        nz = [(k, x) for k, x in enumerate(v) if x]
+        for a, xa in nz:
+            row = out[a]
+            for b, xb in nz:
+                row[b] += xa * xb
+    return out
+
+
 def gram_A(table: TableMatrix) -> list[list[int]]:
-    """m times its transpose; diagonal counts the splittings of each row
-    label (n+1 additively, d(n) multiplicatively)."""
-    m = table.rows
-    return [[sum(ra[k] * rb[k] for k in range(len(ra))) for rb in m] for ra in m]
+    """m times its transpose, summed over the columns; diagonal counts the
+    splittings of each row label (n+1 additively, d(n) multiplicatively)."""
+    return _outer_sum(zip(*table.rows), len(table.rows))
 
 
 def gram_B(table: TableMatrix) -> list[list[int]]:
-    """Transpose times m; all-ones blocks indexed by recombination value."""
-    m = table.rows
-    ncols = len(table.col_labels)
-    return [
-        [sum(row[a] * row[b] for row in m) for b in range(ncols)]
-        for a in range(ncols)
-    ]
+    """Transpose times m, summed over the rows' nonzero entries; all-ones
+    blocks indexed by recombination value."""
+    return _outer_sum(table.rows, len(table.col_labels))
 
 
 def operator_identity_add(n: int) -> int:
@@ -104,14 +116,56 @@ def _poly_sub_scaled(p: Poly, q: Poly, c: Fraction) -> Poly:
     return out
 
 
+def _components(rows: list[list]) -> list[list[int]]:
+    """Index sets of the connected components of the symmetric nonzero
+    pattern of a square matrix, each in ascending order."""
+    parent = list(range(len(rows)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            if x and i != j:
+                parent[find(i)] = find(j)
+    blocks: dict[int, list[int]] = {}
+    for i in range(len(rows)):
+        blocks.setdefault(find(i), []).append(i)
+    return list(blocks.values())
+
+
 def charpoly(matrix) -> Poly:
-    """Coefficients (ascending) of det(xI - M), computed exactly by
-    reducing to Hessenberg form with similarity row/column operations and
+    """Coefficients (ascending) of det(xI - M), computed exactly per
+    connected block of M's nonzero pattern (a block-diagonal matrix up to a
+    permutation has the product of its blocks' charpolys) by reducing each
+    block to Hessenberg form with similarity row/column operations and
     then running the leading-submatrix recurrence."""
+    rows = [list(row) for row in matrix]
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix must be square")
+    blocks = _components(rows)
+    if len(blocks) == 1:
+        return _charpoly_dense(rows)
+    p: list = [1]
+    for idx in blocks:
+        q = _charpoly_dense([[rows[i][j] for j in idx] for i in idx])
+        q = [c.numerator if c.denominator == 1 else c for c in q]
+        out = [0] * (len(p) + len(q) - 1)
+        for i, a in enumerate(p):
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+        p = out
+    return [Fraction(c) for c in p]
+
+
+def _charpoly_dense(matrix) -> Poly:
+    """det(xI - M) of a square matrix by Hessenberg reduction."""
     n = len(matrix)
     H = [[Fraction(x) for x in row] for row in matrix]
-    if any(len(row) != n for row in H):
-        raise ValueError("matrix must be square")
 
     for j in range(n - 2):
         piv = next((i for i in range(j + 1, n) if H[i][j]), None)

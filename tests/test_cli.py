@@ -34,6 +34,14 @@ def test_antipode_of_a_19_digit_prime_is_fast(capsys):
     assert result == (0, "-1000000000000000003\n", "")
 
 
+def test_square_of_a_19_digit_prime_factors(capsys):
+    # (10**18 + 3)**2: a perfect-power test settles it, rho would need 10**9 steps
+    n = (10**18 + 3) ** 2
+    code, out, err = run(capsys, "coproduct", "mul", str(n))
+    assert (code, err) == (0, "")
+    assert out == f"(1, {n}) + ({10**18 + 3}, {10**18 + 3}) + ({n}, 1)\n"
+
+
 def test_coproduct_rendering(capsys):
     assert run(capsys, "coproduct", "add", "2") == \
         (0, "(0, 2) + (1, 1) + (2, 0)\n", "")

@@ -12,7 +12,8 @@ Each law is written once and run on every family it applies to:
 Renormalization is one rescaling by a weight w, w(n) = n! on the additive
 side and w(n) = prod_p r_p! for n = prod_p p^r_p on the divisor side; the
 rescaling laws below use their own w.  Last, the antipode axiom
-sum_(a, b) S(a) b = eps(n) for both divisor antipodes.
+sum_(a, b) S(a) b = eps(n) for both divisor antipodes, and f * f^-1 = eps
+for every named arithmetic function.
 """
 
 import math
@@ -165,3 +166,20 @@ def test_weighted_antipode_is_the_rescaled_inverse():
     g_inv = dh.ArithFn(lambda n: Fraction(n, w_mul(n)), "id/w").inverse()
     for n, v in enumerate(g_inv.values(2000), start=1):
         assert dh.antipode_unrenorm(n) == w_mul(n) * v, n
+
+
+NAMED_FNS = [dh.zeta, dh.moebius_fn, dh.identity_fn, dh.liouville, dh.unit_fn,
+             *(dh.id_power(k) for k in range(4))]
+
+
+@pytest.mark.parametrize("f", NAMED_FNS, ids=[f.name for f in NAMED_FNS])
+def test_convolving_with_the_inverse_gives_the_unit(f):
+    # the divisor sum runs over the multiples of each d, not through nat
+    upto = 2000
+    fv = [0] + f.values(upto)
+    gv = [0] + f.inverse().values(upto)
+    conv = [0] * (upto + 1)
+    for d in range(1, upto + 1):
+        for k in range(1, upto // d + 1):
+            conv[d * k] += fv[d] * gv[k]
+    assert conv[1:] == [1] + [0] * (upto - 1)

@@ -185,3 +185,28 @@ def test_rho_gives_up_with_a_value_error_after_its_budget(monkeypatch):
         factorize(p * q)
     monkeypatch.undo()
     assert factorize(p * q) == ((p, 1), (q, 1))
+
+
+@pytest.mark.parametrize("n, want", [
+    ((10**18 + 3) ** 2, ((10**18 + 3, 2),)),
+    ((10**18 + 3) ** 3, ((10**18 + 3, 3),)),
+    ((10**18 + 3) ** 5, ((10**18 + 3, 5),)),
+    (3 * (10**18 + 3) ** 2, ((3, 1), (10**18 + 3, 2))),
+    (P2**7, ((P2, 7),)),
+])
+def test_perfect_powers_of_large_primes_skip_rho(monkeypatch, n, want):
+    # rho on p**k needs about sqrt(p) steps: 10**9 here, far over budget
+    def no_rho(x):
+        raise AssertionError(f"rho called on {x}")
+
+    monkeypatch.setattr(nat, "_rho_brent", no_rho)
+    factorize.cache_clear()
+    assert factorize(n) == want
+
+
+def test_power_root_refuses_non_powers():
+    p, q = 10**18 + 3, 10**18 + 9
+    assert nat._power_root(p * q) == 0
+    assert nat._power_root(p**2 * q) == 0
+    assert nat._power_root(p**2 - 1) == nat._power_root(p**2 + 1) == 0
+    assert nat._power_root(P2**6) in (P2, P2**2, P2**3)

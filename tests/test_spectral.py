@@ -1,13 +1,17 @@
 """Table matrices for the two recombinations, Gram products, exact spectra."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from natalg import spectral
 from natalg.nat import divisors
 from natalg.spectral import (
+    TableMatrix,
+    _charpoly_dense,
     charpoly,
     gram_A,
     gram_B,
@@ -68,6 +72,91 @@ def test_charpoly_known_factors():
     assert charpoly(eye3) == [-1, 3, -3, 1]
     with pytest.raises(ValueError):
         charpoly([[1, 2, 3], [4, 5, 6]])
+
+
+def assert_fractions(p):
+    assert all(type(c) is Fraction for c in p)
+
+
+blocks_and_order = st.lists(
+    st.integers(1, 3).flatmap(lambda b: st.lists(
+        st.lists(st.integers(-4, 4), min_size=b, max_size=b), min_size=b, max_size=b)),
+    min_size=0, max_size=4,
+).flatmap(lambda blocks: st.tuples(
+    st.just(blocks), st.permutations(range(sum(len(b) for b in blocks)))))
+
+
+@settings(max_examples=80)
+@given(blocks_and_order)
+def test_charpoly_of_permuted_block_diagonal_matrices(case):
+    blocks, order = case
+    n = len(order)
+    m = [[0] * n for _ in range(n)]
+    start = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            for j, x in enumerate(row):
+                m[order[start + i]][order[start + j]] = x
+        start += len(b)
+    got = charpoly(m)
+    assert_fractions(got)
+    assert got == _charpoly_dense(m)
+    want = [Fraction(1)]
+    for b in blocks:
+        want = poly_mul(want, brute_charpoly(b))
+    assert got == want
+
+
+def test_charpoly_of_random_sparse_matrices():
+    rng = random.Random(33)
+    entries = [1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)]
+    for _ in range(400):
+        n = rng.randint(0, 9)
+        density = rng.choice([0.05, 0.15, 0.3, 0.6])
+        m = [[rng.choice(entries) if rng.random() < density else 0 for _ in range(n)]
+             for _ in range(n)]
+        got = charpoly(m)
+        assert_fractions(got)
+        assert got == _charpoly_dense(m)
+    assert charpoly([]) == [1]
+    assert_fractions(charpoly([]))
+
+
+def test_charpoly_runs_dense_only_on_the_blocks_of_gram_b(monkeypatch):
+    # a count, not a time: the dense path sees one block per recombination
+    # value, d(n) rows for the product table and n+1 for the sum table
+    sizes = []
+
+    def recording(matrix):
+        sizes.append(len(matrix))
+        return _charpoly_dense(matrix)
+
+    monkeypatch.setattr(spectral, "_charpoly_dense", recording)
+    charpoly(gram_B(table_matrix_mul(100)))
+    assert sorted(sizes) == sorted(len(divisors(n)) for n in range(1, 101))
+    assert len(sizes) == 100 and max(sizes) == 12
+    sizes.clear()
+    charpoly(gram_B(table_matrix_add(24)))
+    assert sorted(sizes) == list(range(1, 26))
+
+
+signed_tables = st.integers(1, 4).flatmap(lambda cols: st.lists(
+    st.lists(st.integers(-3, 3), min_size=cols, max_size=cols), min_size=1, max_size=4))
+
+
+@settings(max_examples=80)
+@given(signed_tables)
+def test_gram_products_of_signed_integer_tables(m):
+    rows, cols = len(m), len(m[0])
+    t = TableMatrix(tuple(map(tuple, m)), tuple(range(rows)),
+                    tuple((k, 0) for k in range(cols)))
+    mmt = [[sum(m[i][k] * m[j][k] for k in range(cols)) for j in range(rows)]
+           for i in range(rows)]
+    mtm = [[sum(m[i][a] * m[i][b] for i in range(rows)) for b in range(cols)]
+           for a in range(cols)]
+    assert gram_A(t) == mmt
+    assert gram_B(t) == mtm
+    assert all(type(x) is int for g in (gram_A(t), gram_B(t)) for row in g for x in row)
 
 
 def test_strip_zero_roots():
