@@ -58,47 +58,46 @@ def _check_positive(n: int) -> None:
 
 
 class ArithFn:
-    """A function on positive integers with a value cache and convolution algebra.
+    """A function on positive integers with a value store and convolution algebra.
 
     The evaluator must be total and deterministic; values are memoized as
-    exact scalars (int when integral, else Fraction).  Multiplicativity is
-    checked on a range by the is_* methods, not declared.
+    exact scalars (int when integral, else Fraction).  f(1..N) is held in one
+    list, indexed from 1, that values() extends in bulk; an isolated n beyond
+    it is evaluated on its own and kept in a dict until the list reaches it.
+    Multiplicativity is checked on a range by the is_* methods, not declared.
     """
 
     def __init__(self, fn: Callable[[int], Scalar], name: str = "?"):
         self._fn = fn
         self.name = name
-        self._cache: dict[int, Scalar] = {}
+        self._vals: list[Scalar] = [0]  # f(1..len-1); index 0 unused
+        self._cache: dict[int, Scalar] = {}  # isolated n >= len(_vals)
         self._inverse: "ArithFn | None" = None
-        # set on a function made by inverse(): the function it inverts, and
-        # the n through which the bulk solve in values() has filled the cache
-        self._inverts: "ArithFn | None" = None
-        self._filled = 0
+        self._inverts: "ArithFn | None" = None  # set by inverse(): the function inverted
 
     def __call__(self, n: int) -> Scalar:
-        _check_positive(n)
+        if 0 < n < len(self._vals):
+            return self._vals[n]
         v = self._cache.get(n)
-        if v is None:
+        if v is None:  # only n >= 1 is ever stored, so a hit needs no check
+            _check_positive(n)
             v = self._cache[n] = normalize(self._fn(n))
         return v
 
     def values(self, upto: int) -> list[Scalar]:
-        """f(1), ..., f(upto).  An inverse solves the missing stretch in bulk,
-        extending the stretch an earlier call solved."""
-        cache = self._cache
-        if self._inverts is not None and upto > self._filled:
-            known = [0] + [cache[n] for n in range(1, self._filled + 1)]
-            g = push_inverse([0] + self._inverts.values(upto), known, upto)
-            for n in range(self._filled + 1, upto + 1):
-                cache[n] = g[n]
-            self._filled = upto
-        out = []
-        for n in range(1, upto + 1):
-            v = cache.get(n)
-            if v is None:
-                v = cache[n] = normalize(self._fn(n))
-            out.append(v)
-        return out
+        """f(1), ..., f(upto), as a copy.  The list is extended to upto first:
+        an inverse solves the new stretch by push_inverse, any other function
+        evaluates it; either way a value held in the dict moves to the list."""
+        vals, cache = self._vals, self._cache
+        new = range(len(vals), upto + 1)
+        if self._inverts is None:
+            vals.extend(cache.pop(n) if n in cache else normalize(self._fn(n)) for n in new)
+        elif new:
+            push_inverse([0] + self._inverts.values(upto), vals, upto)
+            if cache:
+                for n in new:
+                    cache.pop(n, None)
+        return vals[1:upto + 1] if upto > 0 else []
 
     def is_multiplicative(self, upto: int) -> bool:
         return all(
@@ -118,26 +117,15 @@ class ArithFn:
     def inverse(self) -> "ArithFn":
         """Convolutive inverse.  A single value is pulled through the
         triangular recursion over divisors; values() solves a whole stretch
-        by push_inverse."""
+        in bulk by push_inverse, extending the inverse's own list."""
         if self._inverse is not None:
             return self._inverse
         f, f1 = self, self(1)
         if f1 == 0:
             raise ValueError(f"{self.name} has value 0 at 1 and is not invertible")
-
-        def g(n: int) -> Scalar:
-            v = cache.get(n)
-            if v is None:
-                acc = 0
-                for d in divisors(n):
-                    if d > 1:
-                        acc += f(d) * g(n // d)
-                v = cache[n] = exact_div(-acc, f1)
-            return v
-
-        inv = ArithFn(g, name=f"{self.name}^-1")
-        cache = inv._cache
-        cache[1] = exact_div(1, f1)
+        inv = ArithFn(lambda n: exact_div(-sum(f(d) * inv(n // d) for d in divisors(n) if d > 1), f1),
+                      name=f"{self.name}^-1")
+        inv._vals.append(exact_div(1, f1))
         inv._inverse, inv._inverts = self, self
         self._inverse = inv
         return inv
@@ -172,15 +160,16 @@ def push_inverse(f: list[Scalar], g: list[Scalar], upto: int) -> list[Scalar]:
     empty.  Instead of pulling the divisors of each n, every solved g(n) is
     pushed onto its multiples, acc[n*k] += f(k) * g(n), so by the time the
     loop reaches n its sum is complete and g(n) = ([n = 1] - acc[n]) / f(1).
-    Zeros of f and g are skipped; values stay int while f(1) divides them.
+    Each g(n) is appended as it is solved, so a solve cut short leaves g a
+    shorter prefix of solved values, never a placeholder.  Zeros of f and g
+    are skipped; values stay int while f(1) divides them.
     """
     done = len(g) - 1
     f1 = f[1]
     acc = [0] * (upto + 1)
-    g.extend([0] * (upto - done))
     for n in range(1, upto + 1):
-        if n > done:
-            g[n] = gn = exact_div((1 if n == 1 else 0) - acc[n], f1)
+        if n > done:  # then n == len(g): g holds solved values only
+            g.append(gn := exact_div((1 if n == 1 else 0) - acc[n], f1))
             lo = 2
         else:
             gn = g[n]
@@ -276,8 +265,9 @@ def antipode_mul(n: int, check: bool = True) -> int:
 
     With check=True (default) the closed form is verified against the
     defining recursion S * id = epsilon, whose solution is identity_fn's
-    inverse; its value cache is the one identity_fn.inverse().values fills,
-    so bulk sweeps stay cheap.
+    inverse.  n inside the list that identity_fn.inverse().values solves in
+    bulk is read from it, so bulk sweeps stay cheap; n beyond it, such as a
+    large semiprime, is pulled on its own through its divisors.
     """
     _check_positive(n)
     closed = n * moebius(n)

@@ -226,6 +226,8 @@ def type_calls() -> list[tuple[str, object]]:
     E = [wt.MultiPoly.var(f"e{i}") for i in range(1, 4)]
     half = Fraction(1, 2)
     recip = dr.ArithFn(lambda n: Fraction(1, n), "recip")
+    succ_inv = dr.ArithFn(lambda n: n + 1, "succ").inverse()
+    mod3 = dr.ArithFn(lambda n: n % 3 - 1, "mod3")
     ps = ad.PowerSeries([1, half, Fraction(4, 2)])
     return [
         ("linear.LinComb({1: 2, 2: 1/2, 3: 4/2})", lambda: x),
@@ -357,6 +359,16 @@ def type_calls() -> list[tuple[str, object]]:
          lambda: dr.ArithFn(lambda n: n + 1, "succ").inverse()(6)),
         ("dirichlet.dirichlet_inverse(n + 1, upto=4).values(6)",
          lambda: dr.dirichlet_inverse(lambda n: n + 1, upto=4).values(6)),
+        # calls that cross between the solved prefix and isolated values
+        ("dirichlet.identity_fn.inverse()(1000003 * 1000033)",
+         lambda: dr.identity_fn.inverse()(1000003 * 1000033)),
+        ("dirichlet.identity_fn.inverse().values(12) after that pull",
+         lambda: dr.identity_fn.inverse().values(12)),
+        ("dirichlet.ArithFn(n + 1).inverse(): values(6)", lambda: succ_inv.values(6)),
+        ("dirichlet.ArithFn(n + 1).inverse(): then (9)", lambda: succ_inv(9)),
+        ("dirichlet.ArithFn(n + 1).inverse(): then values(10)", lambda: succ_inv.values(10)),
+        ("dirichlet.ArithFn(n % 3 - 1)(7)", lambda: mod3(7)),
+        ("dirichlet.ArithFn(n % 3 - 1).values(8) after that pull", lambda: mod3.values(8)),
         ("dirichlet.push_inverse(zeta, [0, 1], 6)",
          lambda: dr.push_inverse([0] + [1] * 6, [0, 1], 6)),
         ("dirichlet.push_inverse(2 + n, [0, 1/3], 4)",

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from natalg import dirichlet as dh
 from natalg.linear import LinComb
 from natalg.nat import divisors, factorize, moebius, omega_grade
+from test_exactness import brute_inverse
 
 
 def test_coproduct_enumerates_divisor_pairs():
@@ -192,15 +193,98 @@ def test_two_cochain_inverse_reads_each_value_once(seed):
     assert inv == pull_two_cochain_inverse(lambda d, l: table[(d, l)], 24)
 
 
-def test_dirichlet_inverse_matches_arithfn_inverse():
-    f = dh.ArithFn(lambda n: n + 1, "n+1")  # f(1) = 2: Fraction values
-    g = dh.dirichlet_inverse(f)
-    assert g is f.inverse() and g._filled == 0  # nothing forced without upto
-    # a bare callable is wrapped; upto forces the first values by the bulk solve
-    forced = dh.dirichlet_inverse(lambda n: n + 1, upto=40)
-    assert forced._filled == 40
+def counting(fn):
+    """fn, and the list of arguments it has been called with."""
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return fn(n)
+
+    return counted, calls
+
+
+def test_dirichlet_inverse_matches_arithfn_inverse(monkeypatch):
+    f, f_calls = counting(lambda n: n + 1)  # f(1) = 2: Fraction values
+    fn = dh.ArithFn(f, "n+1")
+    g = dh.dirichlet_inverse(fn)
+    assert g is fn.inverse()
+    assert f_calls == [1]  # nothing forced without upto: inverse() reads f(1) alone
+    # a bare callable is wrapped; upto forces the first 40 values by the bulk
+    # solve, which reads exactly h(1..40) and leaves nothing to solve below 41
+    h, h_calls = counting(lambda n: n + 1)
+    forced = dh.dirichlet_inverse(h, upto=40)
+    assert sorted(h_calls) == list(range(1, 41))
+    real = dh.exact_div
+    divs, div_calls = counting(lambda args: real(*args))
+    monkeypatch.setattr(dh, "exact_div", lambda a, b: divs((a, b)))
+    assert forced.values(40) == [forced(n) for n in range(1, 41)]
+    assert div_calls == []
+    forced(41)
+    assert len(div_calls) == 1
+    monkeypatch.undo()
     assert forced.values(40) == g.values(40)
     assert dh.dirichlet_inverse(dh.zeta, upto=10).values(10) == [moebius(n) for n in range(1, 11)]
+
+
+# the value store: f(1..N) solved or evaluated in bulk, isolated n pulled
+
+
+def test_an_interrupted_bulk_solve_leaves_no_unsolved_value(monkeypatch):
+    g = dh.ArithFn(lambda n: n + 1, "n+1").inverse()
+    real, calls = dh.exact_div, []
+
+    def failing(a, b):
+        calls.append(a)
+        if len(calls) == 50:
+            raise RuntimeError("interrupted")
+        return real(a, b)
+
+    monkeypatch.setattr(dh, "exact_div", failing)
+    with pytest.raises(RuntimeError):
+        g.values(200)
+    monkeypatch.undo()
+    fresh = dh.ArithFn(lambda n: n + 1, "n+1").inverse()
+    assert g.values(200) == fresh.values(200)
+    assert g(100) == fresh(100)
+
+
+def test_values_up_to_nothing_is_empty():
+    for f in (dh.ArithFn(lambda n: n, "id"), dh.ArithFn(lambda n: n + 1, "n+1").inverse()):
+        f.values(5)
+        for upto in (0, -1, -3):
+            assert f.values(upto) == []
+
+
+def test_values_returns_a_copy():
+    for f in (dh.ArithFn(lambda n: n, "id"), dh.ArithFn(lambda n: n + 1, "n+1").inverse()):
+        want = f.values(10)
+        got = f.values(10)
+        got[2] = 99
+        got.append(99)
+        assert f(3) == want[2] and f.values(11)[:10] == want
+
+
+def test_each_value_is_evaluated_once():
+    f, calls = counting(lambda n: n % 3 - 1)  # zero at 1, 4, 7, ...
+    fn = dh.ArithFn(f, "mod3")
+    assert [fn(n) for n in (7, 4, 30, 4)] == [0, 0, -1, 0]
+    assert fn.values(10) == [n % 3 - 1 for n in range(1, 11)]
+    assert [fn(n) for n in (1, 7, 10, 30, 31)] == [0, 0, 0, -1, 0]
+    assert fn.values(40) == [n % 3 - 1 for n in range(1, 41)]
+    assert sorted(calls) == list(range(1, 41))
+
+
+def test_pulls_and_bulk_solves_mix():
+    rng = random.Random(45)
+    table = [0, 2] + [rng.choice((0, 0, -1, 1, 3)) for _ in range(149)]  # zeros in the prefix
+    want = [None] + brute_inverse(table, 150)
+    g = dh.ArithFn(table.__getitem__, "table").inverse()
+    assert [g(n) for n in (97, 36, 128)] == [want[n] for n in (97, 36, 128)]
+    assert g.values(100) == want[1:101]
+    assert [g(n) for n in (97, 128, 150, 99)] == [want[n] for n in (97, 128, 150, 99)]
+    assert g.values(150) == want[1:]
+    assert [g(n) for n in range(150, 0, -1)] == want[:0:-1]
 
 
 def test_pointwise_coboundary_detects_complete_multiplicativity():

@@ -9,7 +9,7 @@ arithmetic and divisors found by trial.
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from natalg import additive as ad
 from natalg import dirichlet as dh
@@ -59,7 +59,9 @@ def test_bulk_inverse_matches_pull_and_brute_force(lead, tail):
     assert exact(bulk)
 
 
-@settings(max_examples=8, deadline=None)
+# each example costs two 8,000-value solves, so a failure is reported as
+# found rather than shrunk over seeds, which took minutes
+@settings(max_examples=8, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(LEADS, st.integers(min_value=0, max_value=2**32))
 def test_extending_a_bulk_solve_equals_a_fresh_one(lead, seed):
     rng = random.Random(seed)
