@@ -8,7 +8,10 @@ charpoly is taken per connected block of its matrix: for a table matrix
 every column has one 1, so M^T M is all-ones blocks, one per row label,
 and M M^T is diagonal.
 
-No floats anywhere: eigen-data is handled through charpolys over Fraction.
+No floats anywhere: eigen-data is handled through exact charpolys.  They
+are computed int-first (linear.normalize, linear.exact_div), so an integer
+matrix runs in int until a pivot quotient is not whole, and charpoly hands
+back Fraction coefficients.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from typing import NamedTuple
 
 from .additive import coproduct_add
 from .dirichlet import coproduct_mul
+from .linear import Scalar, exact_div, normalize
 from .nat import divisors
 
 __all__ = [
@@ -106,11 +110,11 @@ def operator_identity_mul(n: int) -> int:
 # ---------------------------------------------------------------------------
 # exact characteristic polynomials
 
-Poly = list[Fraction]  # ascending coefficients
+Poly = list[Scalar]  # ascending coefficients; charpoly returns Fractions
 
 
-def _poly_sub_scaled(p: Poly, q: Poly, c: Fraction) -> Poly:
-    out = list(p) + [Fraction(0)] * (len(q) - len(p))
+def _poly_sub_scaled(p: Poly, q: Poly, c: Scalar) -> Poly:
+    out = list(p) + [0] * (len(q) - len(p))
     for i, qc in enumerate(q):
         out[i] -= c * qc
     return out
@@ -137,8 +141,8 @@ def _components(rows: list[list]) -> list[list[int]]:
     return list(blocks.values())
 
 
-def charpoly(matrix) -> Poly:
-    """Coefficients (ascending) of det(xI - M), computed exactly per
+def charpoly(matrix) -> list[Fraction]:
+    """Fraction coefficients (ascending) of det(xI - M), computed exactly per
     connected block of M's nonzero pattern (a block-diagonal matrix up to a
     permutation has the product of its blocks' charpolys) by reducing each
     block to Hessenberg form with similarity row/column operations and
@@ -147,13 +151,9 @@ def charpoly(matrix) -> Poly:
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("matrix must be square")
-    blocks = _components(rows)
-    if len(blocks) == 1:
-        return _charpoly_dense(rows)
-    p: list = [1]
-    for idx in blocks:
+    p: Poly = [1]
+    for idx in _components(rows):
         q = _charpoly_dense([[rows[i][j] for j in idx] for i in idx])
-        q = [c.numerator if c.denominator == 1 else c for c in q]
         out = [0] * (len(p) + len(q) - 1)
         for i, a in enumerate(p):
             for j, b in enumerate(q):
@@ -163,9 +163,9 @@ def charpoly(matrix) -> Poly:
 
 
 def _charpoly_dense(matrix) -> Poly:
-    """det(xI - M) of a square matrix by Hessenberg reduction."""
+    """det(xI - M) of a square matrix by Hessenberg reduction, int-first."""
     n = len(matrix)
-    H = [[Fraction(x) for x in row] for row in matrix]
+    H = [[normalize(x) for x in row] for row in matrix]
 
     for j in range(n - 2):
         piv = next((i for i in range(j + 1, n) if H[i][j]), None)
@@ -178,21 +178,23 @@ def _charpoly_dense(matrix) -> Poly:
         for i in range(j + 2, n):
             if not H[i][j]:
                 continue
-            f = H[i][j] / H[j + 1][j]
+            f = exact_div(H[i][j], H[j + 1][j])
             for k in range(j, n):
                 H[i][k] -= f * H[j + 1][k]
             for k in range(n):
                 H[k][j + 1] += f * H[k][i]
 
     # p[m] = charpoly of the leading m x m block
-    p: list[Poly] = [[Fraction(1)]]
+    p: list[Poly] = [[1]]
     for m in range(1, n + 1):
         prev = p[m - 1]
-        cur: Poly = [Fraction(0)] + list(prev)  # x * prev
+        cur: Poly = [0] + list(prev)  # x * prev
         cur = _poly_sub_scaled(cur, prev, H[m - 1][m - 1])
-        subdiag = Fraction(1)
+        subdiag = 1
         for k in range(m - 1, 0, -1):
             subdiag *= H[k][k - 1]
+            if not subdiag:  # every later term carries this factor
+                break
             if H[k - 1][m - 1]:
                 cur = _poly_sub_scaled(cur, p[k - 1], H[k - 1][m - 1] * subdiag)
         p.append(cur)

@@ -4,18 +4,21 @@ conversion between Witt coordinates and the coefficients of the associated
 truncated product series.
 
 Everything is exact; MultiPoly is a LinComb over monomials, and the ghost
-map and its inverse run on numbers and polynomials alike.
+map and its inverse run on numbers and polynomials alike.  Numbers are
+computed int-first (linear.normalize, linear.exact_div), and the public ring
+functions and series conversions return them as Fraction.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import re
 from fractions import Fraction
 from typing import Iterable
 
-from .linear import LinComb, Scalar
+from .linear import LinComb, Scalar, exact_div, normalize
 from .nat import divisors
 
 __all__ = [
@@ -39,6 +42,7 @@ Monomial = tuple[tuple[str, int], ...]  # sorted ((var, exp), ...)
 _VAR_RE = re.compile(r"^([A-Za-z]+)(\d+)$")
 
 
+@functools.lru_cache(maxsize=1024)
 def _var_key(name: str) -> tuple[str, int]:
     m = _VAR_RE.match(name)
     if not m:
@@ -165,16 +169,27 @@ def _merge(a: Monomial, b: Monomial) -> LinComb:
 
 
 def _ring(x):
-    """A coordinate as a ring element: a MultiPoly as itself, a number as a
-    Fraction.  The ghost map and its inverse run on both alike."""
-    return x if isinstance(x, MultiPoly) else Fraction(x)
+    """A coordinate as a ring element: a MultiPoly as itself, a number as an
+    exact int-first scalar (linear.normalize: int when integral, else
+    Fraction).  The ghost map and its inverse run on both alike."""
+    return x if isinstance(x, MultiPoly) else normalize(x)
+
+
+def _public(xs: list) -> list:
+    """Ring elements as the public functions return them: numbers as
+    Fraction, polynomials unchanged."""
+    return [x if isinstance(x, MultiPoly) else Fraction(x) for x in xs]
+
+
+def _ghost(ws: list) -> list:
+    """Ghost components of ring elements, as ring elements."""
+    return [sum(d * ws[d - 1] ** (n // d) for d in divisors(n))
+            for n in range(1, len(ws) + 1)]
 
 
 def ghost(w: Iterable) -> list:
     """Ghost components r_n = sum over d|n of d * w_d^(n/d)."""
-    ws = [_ring(x) for x in w]
-    return [sum((d * ws[d - 1] ** (n // d) for d in divisors(n)), Fraction(0))
-            for n in range(1, len(ws) + 1)]
+    return _public(_ghost([_ring(x) for x in w]))
 
 
 def ghost_sym(upto: int, prefix: str = "w") -> list[MultiPoly]:
@@ -189,23 +204,28 @@ def _solve_next(r_n, w: list):
     for d in divisors(n):
         if d < n:
             acc = acc - d * w[d - 1] ** (n // d)
-    return acc / n
+    return acc / n if isinstance(acc, MultiPoly) else exact_div(acc, n)
+
+
+def _ghost_inverse(r: list) -> list:
+    """Coordinates of ring-element ghost components, as ring elements."""
+    w: list = []
+    for x in r:
+        w.append(_solve_next(x, w))
+    return w
 
 
 def ghost_inverse(r: Iterable) -> list:
     """Triangular solve of the ghost formula for the coordinates."""
-    w: list = []
-    for x in r:
-        w.append(_solve_next(_ring(x), w))
-    return w
+    return _public(_ghost_inverse([_ring(x) for x in r]))
 
 
 def _ghostwise(op, u: Iterable, v: Iterable) -> list:
     """The coordinate operation that is op on ghost components."""
-    u, v = list(u), list(v)
+    u, v = [_ring(x) for x in u], [_ring(x) for x in v]
     if len(u) != len(v):
         raise ValueError("coordinate vectors must share their truncation length")
-    return ghost_inverse([op(a, b) for a, b in zip(ghost(u), ghost(v))])
+    return _public(_ghost_inverse([op(a, b) for a, b in zip(_ghost(u), _ghost(v))]))
 
 
 def witt_add(u: Iterable, v: Iterable) -> list:
@@ -295,24 +315,25 @@ def _sign(d: int) -> int:
 def w_to_e(w: list) -> list:
     """Coefficients e_1..e_N of the product series, same entry type as w
     (rationals or polynomials)."""
+    w = [_ring(x) for x in w]
     n = len(w)
-    one = Fraction(1) if not any(isinstance(x, MultiPoly) for x in w) else MultiPoly.const(1)
+    one = MultiPoly.const(1) if any(isinstance(x, MultiPoly) for x in w) else 1
     zero = one - one
     coeffs: list = [one] + [zero] * n  # t^0..t^n
     for d in range(1, n + 1):
         term = w[d - 1] * _sign(d)
         for k in range(n, d - 1, -1):
             coeffs[k] = coeffs[k] + coeffs[k - d] * term
-    return coeffs[1:]
+    return _public(coeffs[1:])
 
 
 def e_to_w(e: list) -> list:
     """Inverse conversion, solved degree by degree: maintain the partial
     product over earlier indices; the next coordinate is the sign-adjusted
     gap at its own degree."""
+    e = [_ring(x) for x in e]
     n = len(e)
-    symbolic = any(isinstance(x, MultiPoly) for x in e)
-    one = MultiPoly.const(1) if symbolic else Fraction(1)
+    one = MultiPoly.const(1) if any(isinstance(x, MultiPoly) for x in e) else 1
     zero = one - one
     partial: list = [one] + [zero] * n  # product over factors d' < current d
     w: list = []
@@ -322,13 +343,14 @@ def e_to_w(e: list) -> list:
         term = wd * _sign(d)
         for k in range(n, d - 1, -1):
             partial[k] = partial[k] + partial[k - d] * term
-    return w
+    return _public(w)
 
 
 def log_derivative_L(series: list) -> list:
     """Coefficients of f'/f for a series with constant term 1; length N for an
     input of length N+1.  Applied to the coordinate product series this
     recovers the ghost components up to alternating signs."""
+    series = [_ring(x) for x in series]
     if not series or series[0] != 1:
         raise ValueError("logarithmic derivative needs constant term 1")
     n = len(series) - 1

@@ -284,6 +284,10 @@ def type_calls() -> list[tuple[str, object]]:
         ("witt.witt_add([1, 2, 3], [4, 5, 6])", lambda: wt.witt_add([1, 2, 3], [4, 5, 6])),
         ("witt.witt_mul([1, 2, 3], [4, 5, 6])", lambda: wt.witt_mul([1, 2, 3], [4, 5, 6])),
         ("witt.witt_add([1/2], [1/2])", lambda: wt.witt_add([half], [half])),
+        ("witt.ghost_inverse([1, 1/2, 2, 1/3])",
+         lambda: wt.ghost_inverse([1, half, 2, Fraction(1, 3)])),
+        ("witt.witt_mul([1/2, 1, 2], [3, 1/3, 1])",
+         lambda: wt.witt_mul([half, 1, 2], [3, Fraction(1, 3), 1])),
         ("witt.universal_polys(3)", lambda: wt.universal_polys(3)),
         ("witt.lambda_op(2, -3)", lambda: wt.lambda_op(2, -3)),
         ("witt.lambda_iter_identity(5)", lambda: wt.lambda_iter_identity(5)),
@@ -291,7 +295,9 @@ def type_calls() -> list[tuple[str, object]]:
         ("witt.w_to_e([1, 2, 3])", lambda: wt.w_to_e([1, 2, 3])),
         ("witt.w_to_e([1/2, 1])", lambda: wt.w_to_e([half, 1])),
         ("witt.w_to_e(w1..w3)", lambda: wt.w_to_e(W)),
+        ("witt.w_to_e([])", lambda: wt.w_to_e([])),
         ("witt.e_to_w([1, 2, 3])", lambda: wt.e_to_w([1, 2, 3])),
+        ("witt.e_to_w([1/2, 1/3, 2])", lambda: wt.e_to_w([half, Fraction(1, 3), 2])),
         ("witt.e_to_w(e1..e3)", lambda: wt.e_to_w(E)),
         ("witt.log_derivative_L([1, 1, 0, 0])", lambda: wt.log_derivative_L([1, 1, 0, 0])),
         ("witt.log_derivative_L([1, 1/2, 0])", lambda: wt.log_derivative_L([1, half, 0])),
@@ -417,6 +423,15 @@ def type_calls() -> list[tuple[str, object]]:
          lambda: sp.charpoly(sp.gram_B(sp.table_matrix_mul(3)))),
         ("spectral.charpoly([[1/2, 1], [1, 0]])",
          lambda: sp.charpoly([[half, 1], [1, 0]])),
+        # one block, so the dense kernel's result is charpoly's
+        ("spectral.charpoly([[2, 1], [1, 2]])", lambda: sp.charpoly([[2, 1], [1, 2]])),
+        # connected, with a zero subdiagonal entry in its Hessenberg form
+        ("spectral.charpoly([[1, 1, 1], [1, 1, 1], [1, 1, 1]])",
+         lambda: sp.charpoly([[1, 1, 1], [1, 1, 1], [1, 1, 1]])),
+        ("spectral.charpoly([[1/2, 1/3, 0], [2/3, 1/4, 1/5], [0, 1/2, 1/3]])",
+         lambda: sp.charpoly([[half, Fraction(1, 3), 0],
+                              [Fraction(2, 3), Fraction(1, 4), Fraction(1, 5)],
+                              [0, half, Fraction(1, 3)]])),
     ]
 
 

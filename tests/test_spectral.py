@@ -78,6 +78,33 @@ def assert_fractions(p):
     assert all(type(c) is Fraction for c in p)
 
 
+def test_charpoly_with_a_zero_subdiagonal_in_hessenberg_form():
+    # connected matrices whose Hessenberg form has a zero subdiagonal entry,
+    # where the leading-submatrix recurrence stops its inner loop
+    cases = [[[1] * n for _ in range(n)] for n in (3, 4, 5)]
+    cases += [[[0, 0, 0, 1, 2], [1, 0, 0, 0, 2], [0, 0, 1, 0, 2], [1, 1, 1, 0, 1],
+               [0, 0, 1, 0, 1]],
+              [[1, 1, 1, 1, 0], [1, 1, 0, 1, 1], [0, 1, 1, 1, 1], [1, 0, 0, 1, 0],
+               [1, 2, 0, 1, 2]],
+              [[0, 1, 1, 0], [1, 0, 0, 2], [1, 0, 0, 2], [0, 2, 2, 1]],
+              [[2, 1, 1, 1, 0], [1, 2, 1, 1, 0], [1, 1, 2, 1, 0],
+               [1, 1, 1, 2, 1], [0, 0, 0, 1, 1]]]
+    for m in cases:
+        assert len(spectral._components(m)) == 1
+        got = charpoly(m)
+        assert_fractions(got)
+        assert got == brute_charpoly(m)
+
+
+def test_integer_matrices_with_whole_pivot_quotients_stay_int():
+    for m in ([[2, 1], [1, 2]], [[1] * 4 for _ in range(4)],
+              [[0, 1, 2], [1, 0, 3], [2, 4, 1]], gram_B(table_matrix_mul(3))):
+        got = _charpoly_dense(m)
+        assert all(type(c) is int for c in got)
+        assert got == brute_charpoly(m)
+        assert_fractions(charpoly(m))
+
+
 blocks_and_order = st.lists(
     st.integers(1, 3).flatmap(lambda b: st.lists(
         st.lists(st.integers(-4, 4), min_size=b, max_size=b), min_size=b, max_size=b)),

@@ -1,8 +1,11 @@
 """Big-vector coordinate calculus: ghosts, universal laws, series bridges."""
 
 import functools
+import importlib.util
+import json
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -33,6 +36,19 @@ from natalg.witt import (
 W = [MultiPoly.var(f"w{i}") for i in range(1, 6)]
 V = [MultiPoly.var(f"v{i}") for i in range(1, 6)]
 E = [MultiPoly.var(f"e{i}") for i in range(1, 6)]
+
+ORACLES = Path(__file__).resolve().parents[1] / "bench" / "oracles.py"
+
+
+def _load_oracles():
+    """The benchmark's independent routes (bench/oracles.py), imported by path."""
+    spec = importlib.util.spec_from_file_location("bench_oracles", ORACLES)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+oracles = _load_oracles()
 
 int_vectors = st.lists(st.integers(min_value=-9, max_value=9),
                        min_size=1, max_size=8)
@@ -125,6 +141,44 @@ def test_identity_vectors():
 def test_vectors_must_share_length():
     with pytest.raises(ValueError):
         witt_add([1, 2], [1, 2, 3])
+
+
+def test_the_oracles_load_no_natalg_module():
+    probe = ("import importlib.util, json, sys\n"
+             f"spec = importlib.util.spec_from_file_location('oracles', {str(ORACLES)!r})\n"
+             "spec.loader.exec_module(importlib.util.module_from_spec(spec))\n"
+             "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'natalg']))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(natalg.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    assert json.loads(proc.stdout) == []
+
+
+def _random_vector(rng: random.Random, n: int, fractions: bool) -> list:
+    if not fractions:
+        return [rng.randint(-9, 9) for _ in range(n)]
+    return [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) if rng.random() < 0.5
+            else rng.randint(-6, 6) for _ in range(n)]
+
+
+def test_ring_operations_match_the_independent_oracle():
+    rng = random.Random(47)
+    for trial in range(120):
+        n, fractions = rng.randint(1, 8), trial % 2 == 1
+        u, v = _random_vector(rng, n, fractions), _random_vector(rng, n, fractions)
+        s, p = witt_add(u, v), witt_mul(u, v)
+        assert s == oracles.witt_op(u, v, "add")
+        assert p == oracles.witt_op(u, v, "mul")
+        assert all(type(c) is Fraction for c in s + p)
+
+
+def test_w_to_e_matches_the_independent_product_series():
+    rng = random.Random(48)
+    for trial in range(120):
+        w = _random_vector(rng, rng.randint(0, 8), trial % 2 == 1)
+        e = w_to_e(w)
+        assert e == oracles.product_series(w)
+        assert all(type(c) is Fraction for c in e)
 
 
 def test_universal_polynomials():
@@ -279,6 +333,17 @@ def test_log_derivative():
         log_derivative_L([2, 1])
     with pytest.raises(ValueError):
         log_derivative_L([])
+
+
+def test_float_inputs_give_exact_values():
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    cases = [(w_to_e([0.5, 1]), [half, -1]),
+             (e_to_w([0.5, 0.25]), [half, -quarter]),
+             (log_derivative_L([1, 0.5, 0]), [half, -quarter]),
+             (ghost([0.5, 1]), [half, Fraction(9, 4)])]
+    for got, want in cases:
+        assert got == want
+        assert all(type(c) in (int, Fraction) for c in got)
 
 
 def test_log_derivative_recovers_ghosts():
