@@ -134,8 +134,9 @@ def _cmd_witt(args) -> None:
 
 def _cmd_convolve(args) -> None:
     f, g = _arith_fn(args.f), _arith_fn(args.g)
-    for n in range(1, _count(args.upto, "--upto") + 1):
-        print(f"{n} {dirichlet.dirichlet_convolve(f, g, n)}")
+    upto = _count(args.upto, "--upto")
+    h = series.series_mul(series.DirichletSeries(f.values(upto)), series.DirichletSeries(g.values(upto)))
+    print("\n".join(f"{n} {c}" for n, c in enumerate(h.coeffs, 1)))
 
 
 def _cmd_series(args) -> None:

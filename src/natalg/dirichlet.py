@@ -8,11 +8,12 @@ product, and the per-prime exponentiation bridge to the additive structure.
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import cache
 from typing import Callable
 
-from .linear import LinComb, Scalar, exact_div, normalize
+from .linear import LinComb, Scalar, exact_div, normalize, triangular_solve
 from .nat import divisors, factorize, is_prime, moebius, omega_grade
 
 __all__ = [
@@ -342,24 +343,19 @@ def two_cochain_convolve(c: TwoCochain, cp: TwoCochain, n: int, m: int) -> Scala
 def two_cochain_inverse(c: TwoCochain, upto: int) -> dict[tuple[int, int], Scalar]:
     """Table of the legwise-convolution inverse of c on 1..upto squared.
 
-    c is read once per argument pair, upto**2 calls in all, before the solve."""
+    c is read once per argument pair, upto**2 calls in all, before the solve
+    (linear.triangular_solve: row (n, m) is c shifted to (n*d, m*l))."""
     c11 = normalize(c(1, 1))
     if c11 == 0:
         raise ValueError("2-cochain with c(1,1) = 0 is not invertible")
     args = range(1, upto + 1)
     cv = [None] + [[None] + [c11 if d == l == 1 else normalize(c(d, l)) for l in args] for d in args]
-    inv: dict[tuple[int, int], Scalar] = {}
-    for n in args:
-        for m in args:
-            acc = 1 if n == 1 and m == 1 else 0
-            for d in divisors(n):
-                row = cv[d]
-                for l in divisors(m):
-                    if d == 1 and l == 1:
-                        continue
-                    acc -= row[l] * inv[(n // d, m // l)]
-            inv[(n, m)] = exact_div(acc, c11)
-    return inv
+
+    def row(k):
+        n, m = k
+        return (((n * d, m * l), cv[d][l]) for d in range(1, upto // n + 1) for l in range(1, upto // m + 1))
+
+    return triangular_solve({(1, 1): 1} if upto > 0 else {}, itertools.product(args, args), row, c11)
 
 
 # ---------------------------------------------------------------------------

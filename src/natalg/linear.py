@@ -14,8 +14,8 @@ from typing import Any, Callable, Iterator
 
 Scalar = int | Fraction
 
-# normalize and exact_div, the scalar helpers of the int-first layers
-# (dirichlet, series, additive), run once per coefficient; they stay out of
+# normalize, exact_div and triangular_solve, the helpers of the int-first
+# layers, run inside their callers' loops and solves; they stay out of
 # __all__ so that bench/layertrace.py counts their time in their callers.
 __all__ = ["LinComb"]
 
@@ -35,12 +35,37 @@ def normalize(c) -> Scalar:
     return c.numerator if c.denominator == 1 else c
 
 
-def exact_div(a: Scalar, b: Scalar) -> Scalar:
-    """a / b in exact arithmetic: an int when the quotient is integral."""
+def exact_div(a, b: Scalar):
+    """a / b in exact arithmetic: an int when the quotient is integral, and a
+    LinComb (a polynomial) divided coefficientwise."""
     if type(a) is int and type(b) is int:
         q, r = divmod(a, b)
         return Fraction(a, b) if r else q
+    if isinstance(a, LinComb):
+        return a.scale(exact_div(1, b))
     return normalize(Fraction(a) / Fraction(b))
+
+
+def triangular_solve(x, order, expand, lead: Scalar = 1) -> dict:
+    """The coefficients a with x = sum over k in order of a[k] * row(k).
+
+    expand(k) yields row k's (key, entry) pairs: its entry at k is lead, which
+    is skipped, and its other keys come later in order.  Every k gets a[k] =
+    exact_div(remainder at k, lead), zeros included, which is then pushed
+    along row k.  Raises ArithmeticError when x is not in the rows' span.
+    """
+    rem = dict(x)
+    out = {}
+    for k in order:
+        out[k] = c = exact_div(rem.pop(k, 0), lead)
+        if c:
+            for j, e in expand(k):
+                if j != k:
+                    rem[j] = rem.get(j, 0) - c * e
+    left = {k: v for k, v in rem.items() if v}
+    if left:
+        raise ArithmeticError(f"triangular solve left a remainder: {left}")
+    return out
 
 
 class LinComb:

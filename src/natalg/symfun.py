@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from functools import cache
 
-from .linear import LinComb
+from .linear import LinComb, triangular_solve
 
 __all__ = [
     "Partition",
@@ -276,25 +275,6 @@ def dominates(lam: Partition, mu: Partition) -> bool:
     return True
 
 
-def _unitriangular_solve(x: LinComb, order, expand) -> LinComb:
-    """The coefficients a with x = sum a[lam] * expand(lam), where expand(lam)
-    has coefficient 1 at lam and its other terms come later in order."""
-    rem = dict(x.terms)
-    out: dict[Partition, int | Fraction] = {}
-    for lam in order:
-        c = rem.get(lam)
-        if not c:
-            continue
-        out[lam] = c
-        for mu, k in expand(lam):
-            rem[mu] = rem.get(mu, 0) - c * k
-            if not rem[mu]:
-                del rem[mu]
-    if rem:
-        raise ArithmeticError(f"basis conversion left a remainder: {rem}")
-    return LinComb(out)
-
-
 def _schur_in_m(lam: Partition) -> LinComb:
     """s_lam = sum over mu dominated by lam of K(lam, mu) m_mu: a Kostka row."""
     return LinComb({mu: kostka(lam, mu) for mu in partitions_of(weight(lam))
@@ -310,7 +290,7 @@ def _h_in_schur(mu: Partition) -> LinComb:
 def _m_to_schur(x: LinComb, w: int) -> LinComb:
     """x, homogeneous of weight w, in the Schur basis.  Lex order refines
     dominance, and partitions_of lists the most dominant first."""
-    return _unitriangular_solve(x, partitions_of(w), _schur_in_m)
+    return LinComb(triangular_solve(x, partitions_of(w), _schur_in_m))
 
 
 def schur_product_lr(lam: Partition, mu: Partition) -> LinComb:
@@ -401,7 +381,7 @@ def to_h_basis(x: LinComb, w: int) -> LinComb:
     stray = sorted(lam for lam in x.terms if weight(lam) != w)
     if stray:
         raise ValueError(f"to_h_basis needs weight {w} throughout, got {stray}")
-    return _unitriangular_solve(_m_to_schur(x, w), reversed(partitions_of(w)), _h_in_schur)
+    return LinComb(triangular_solve(_m_to_schur(x, w), reversed(partitions_of(w)), _h_in_schur))
 
 
 # ---------------------------------------------------------------------------

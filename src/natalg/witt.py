@@ -18,7 +18,7 @@ import re
 from fractions import Fraction
 from typing import Iterable
 
-from .linear import LinComb, Scalar, exact_div, normalize
+from .linear import LinComb, Scalar, exact_div, normalize, triangular_solve
 from .nat import divisors
 
 __all__ = [
@@ -204,7 +204,7 @@ def _solve_next(r_n, w: list):
     for d in divisors(n):
         if d < n:
             acc = acc - d * w[d - 1] ** (n // d)
-    return acc / n if isinstance(acc, MultiPoly) else exact_div(acc, n)
+    return exact_div(acc, n)
 
 
 def _ghost_inverse(r: list) -> list:
@@ -354,12 +354,8 @@ def log_derivative_L(series: list) -> list:
     if not series or series[0] != 1:
         raise ValueError("logarithmic derivative needs constant term 1")
     n = len(series) - 1
-    one = series[0]
-    zero = one - one
-    out: list = []
-    for k in range(n):
-        acc = series[k + 1] * (k + 1)
-        for j in range(k):
-            acc = acc - out[j] * series[k - j]
-        out.append(acc + zero)
-    return out
+    zero = series[0] - series[0]
+    # g * f = f' mod t^n: row j of the solve is t^j * f
+    g = triangular_solve(((k, series[k + 1] * (k + 1)) for k in range(n)), range(n),
+                         lambda j: ((j + i, series[i]) for i in range(n - j)))
+    return [v + zero for v in g.values()]

@@ -14,6 +14,11 @@ side and w(n) = prod_p r_p! for n = prod_p p^r_p on the divisor side; the
 rescaling laws below use their own w.  Last, the antipode axiom
 sum_(a, b) S(a) b = eps(n) for both divisor antipodes, and f * f^-1 = eps
 for every named arithmetic function.
+
+The same laws for the plethystic coproduct on partitions; the standard
+weight-one Rota-Baxter identity of rota_baxter_R on balanced words; and the
+Laplace rule <ab|c> = sum <a|c_(1)> <b|c_(2)> for the symmetric-function
+pairing and for the weighted divisor pairing.
 """
 
 import math
@@ -26,6 +31,8 @@ import pytest
 
 from natalg import additive as ad
 from natalg import dirichlet as dh
+from natalg import normal_order as no
+from natalg import symfun as sf
 from natalg.linear import LinComb
 
 
@@ -183,3 +190,61 @@ def test_convolving_with_the_inverse_gives_the_unit(f):
         for k in range(1, upto // d + 1):
             conv[d * k] += fv[d] * gv[k]
     assert conv[1:] == [1] + [0] * (upto - 1)
+
+
+# ---------------------------------------------------------------------------
+# partitions, balanced words and the Laplace rule
+
+
+PARTITIONS = [lam for w in range(9) for lam in sf.partitions_of(w)]
+
+
+def test_pleth_coproduct_is_coassociative_and_counital():
+    def split_again(lc, leg):
+        terms: dict = {}
+        for (a, b), c in lc:
+            for (x, y), w in sf.pleth_coproduct((a, b)[leg]):
+                key = (x, y, b) if leg == 0 else (a, x, y)
+                terms[key] = terms.get(key, 0) + c * w
+        return LinComb(terms)
+
+    for lam in PARTITIONS:
+        delta = sf.pleth_coproduct(lam)
+        assert split_again(delta, 0) == split_again(delta, 1), lam
+        # the counit is 1 on the empty partition and 0 elsewhere
+        assert LinComb({b: c for (a, b), c in delta if not a}) == LinComb.single(lam), lam
+        assert LinComb({a: c for (a, b), c in delta if not b}) == LinComb.single(lam), lam
+
+
+def test_rota_baxter_identity_on_balanced_words():
+    for k in range(6):
+        for l in range(6):
+            x, y = LinComb.single((k, k)), LinComb.single((l, l))
+            assert no.rb_identity_diagnostic(x, y)["standard"], (k, l)
+
+
+def test_laplace_rule_for_the_symmetric_function_pairing():
+    small = [lam for lam in PARTITIONS if sf.weight(lam) <= 4]
+    for a in small:
+        for b in small:
+            if len(a) + len(b) > 4:
+                continue
+            (ab, k), = sf.div_product(a, b)
+            for c in PARTITIONS:
+                if len(c) != len(a) + len(b):
+                    continue  # both sides vanish
+                rhs = LinComb.zero()
+                for (c1, c2), w in sf.pleth_coproduct(c):
+                    rhs = rhs + sf.sym_mul(sf.laplace_pairing(a, c1), sf.laplace_pairing(b, c2)).scale(w)
+                assert sf.laplace_pairing(ab, c).scale(k) == rhs, (a, b, c)
+
+
+def test_laplace_rule_for_the_weighted_divisor_pairing():
+    # with the plain product a*b; the sharp product's weight ratio breaks it
+    for c in range(1, 200):
+        delta = list(dh.coproduct_mul_unrenorm(c))
+        for a in range(1, 13):
+            for b in range(1, 13):
+                rhs = sum(w * dh.pairing_unrenorm(a, c1) * dh.pairing_unrenorm(b, c2)
+                          for (c1, c2), w in delta)
+                assert dh.pairing_unrenorm(a * b, c) == rhs, (a, b, c)

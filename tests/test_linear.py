@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from natalg.linear import LinComb
+from natalg.linear import LinComb, exact_div, triangular_solve
 
 
 small_combs = st.dictionaries(
@@ -95,3 +95,42 @@ def test_operators_keep_the_subclass():
     assert x + y == LinComb({1: 2, 2: Fraction(3, 2)})
     with pytest.raises(TypeError):
         hash(x)
+
+
+def test_exact_div_divides_a_combination_termwise():
+    x = Tagged({1: 3, 2: 4})
+    assert exact_div(x, 2) == LinComb({1: Fraction(3, 2), 2: 2})
+    assert type(exact_div(x, 2)) is Tagged and type(exact_div(x, 2)[2]) is int
+
+
+def recombine(a, expand):
+    """sum a[k] * row(k), with the test's own loop."""
+    out = {}
+    for k, c in a.items():
+        for j, e in expand(k):
+            out[j] = out.get(j, 0) + c * e
+    return {j: v for j, v in out.items() if v}
+
+
+def test_triangular_solve_raises_when_the_rows_do_not_span_x():
+    bidiagonal = lambda k: [(k, 1), (k + 1, 1)]
+    with pytest.raises(ArithmeticError):
+        triangular_solve({0: 1, 9: 2}, range(3), bidiagonal)
+    with pytest.raises(ArithmeticError):
+        triangular_solve({0: 1}, range(3), bidiagonal)  # row 2 pushes onto 3
+    with pytest.raises(ArithmeticError):
+        triangular_solve({1: 1}, range(3), lambda k: [(k, 1), (0, 1)])  # pushes backward
+    assert triangular_solve({0: 1, 1: 1}, range(3), bidiagonal) == {0: 1, 1: 0, 2: 0}
+
+
+def test_triangular_solve_divides_only_by_the_lead():
+    def rows(k):
+        return [(k, 2), *((j, j - k) for j in range(k + 1, 4))]
+
+    whole = triangular_solve({0: 4, 1: 2, 3: 6}, range(4), rows, lead=2)
+    assert whole == {0: 2, 1: 0, 2: -2, 3: 1}
+    assert all(type(c) is int for c in whole.values())
+    assert recombine(whole, rows) == {0: 4, 1: 2, 3: 6}
+    split = triangular_solve({0: 1}, range(4), rows, lead=2)
+    assert [type(c) for c in split.values()] == [Fraction] * 4
+    assert recombine(split, rows) == {0: 1}

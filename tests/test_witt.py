@@ -335,6 +335,32 @@ def test_log_derivative():
         log_derivative_L([])
 
 
+def assert_times_series_is_derivative(g, f):
+    # g * f = f' mod t^N, with the test's own Cauchy product
+    assert len(g) == len(f) - 1
+    for k in range(len(g)):
+        acc = 0
+        for j in range(k + 1):
+            acc = acc + g[j] * f[k - j]
+        assert acc == (k + 1) * f[k + 1]
+
+
+@given(st.lists(st.integers(-4, 4) | st.fractions(-3, 3, max_denominator=4), max_size=7))
+def test_log_derivative_times_series_is_derivative(tail):
+    f = [1] + tail
+    g = log_derivative_L(f)
+    assert_times_series_is_derivative(g, f)
+    if all(type(c) is int for c in tail):
+        assert all(type(c) is int for c in g)
+
+
+def test_log_derivative_of_a_polynomial_series():
+    f = [MultiPoly.const(1), W[0], 0, W[1] * W[2] - 2]
+    g = log_derivative_L(f)
+    assert all(isinstance(c, MultiPoly) for c in g)
+    assert_times_series_is_derivative(g, f)
+
+
 def test_float_inputs_give_exact_values():
     half, quarter = Fraction(1, 2), Fraction(1, 4)
     cases = [(w_to_e([0.5, 1]), [half, -1]),
