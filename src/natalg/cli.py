@@ -141,18 +141,15 @@ def _cmd_convolve(args) -> None:
 
 def _cmd_series(args) -> None:
     s = series.named_series(args.name, args.upto)
-    if args.csv:
-        print(series.to_csv(s))
-    else:
-        for n in range(1, args.upto + 1):
-            print(f"{n} {s[n]}")
+    sep = "," if args.csv else " "
+    print("\n".join(f"{n}{sep}{c}" for n, c in enumerate(s.coeffs, 1)))
 
 
 def _cmd_cocycle(args) -> None:
     phi = _arith_fn(args.phi)
     upto = _count(args.upto, "--upto")
     for n in range(1, upto + 1):
-        for m in range(1, upto + 1):
+        for m in range(n, upto + 1):  # d2 phi is symmetric: the first deviation has n <= m
             got = dirichlet.coboundary2_mul(phi, n, m)
             want = 1 if n == 1 and m == 1 else 0
             if got != want:

@@ -74,7 +74,7 @@ class ArithFn:
         self._vals: list[Scalar] = [0]  # f(1..len-1); index 0 unused
         self._cache: dict[int, Scalar] = {}  # isolated n >= len(_vals)
         self._inverse: "ArithFn | None" = None
-        self._inverts: "ArithFn | None" = None  # set by inverse(): the function inverted
+        self._inverts: "ArithFn | None" = None  # the function values() solves this one from
 
     def __call__(self, n: int) -> Scalar:
         if 0 < n < len(self._vals):
@@ -140,6 +140,9 @@ moebius_fn = ArithFn(moebius, "moebius")
 identity_fn = ArithFn(lambda n: n, "identity")
 liouville = ArithFn(lambda n: (-1) ** omega_grade(n), "liouville")
 unit_fn = ArithFn(lambda n: 1 if n == 1 else 0, "unit")
+# mu is zeta's inverse: a range of mu is solved from zeta by push_inverse, an
+# isolated mu(n) keeps the closed form, and zeta is never solved from mu
+zeta._inverse, moebius_fn._inverse, moebius_fn._inverts = moebius_fn, zeta, zeta
 
 
 def id_power(k: int) -> ArithFn:

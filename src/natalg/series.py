@@ -6,9 +6,9 @@ Convergence is out of scope by design: these are formal objects only.
 
 from __future__ import annotations
 
-from .dirichlet import push_inverse
+from .dirichlet import ArithFn, identity_fn, moebius_fn, push_inverse, zeta
 from .linear import Scalar, normalize
-from .nat import divisors, is_prime, moebius
+from .nat import is_prime
 
 __all__ = [
     "DirichletSeries",
@@ -62,28 +62,33 @@ class DirichletSeries:
         return f"DirichletSeries({[str(c) for c in self.coeffs]})"
 
 
-_NAMES = ("zeta", "zeta_squared", "ordered_factorizations", "lambda",
-          "moebius", "identity_shift")
+_SERIES = {
+    "zeta": lambda N: DirichletSeries(zeta.values(N)),
+    "zeta_squared": lambda N: series_mul(z := DirichletSeries(zeta.values(N)), z),
+    "ordered_factorizations": lambda N: series_inverse(DirichletSeries([1] + [-1] * (N - 1))),
+    "lambda": lambda N: DirichletSeries([n % 2 for n in range(1, N + 1)]),
+    "moebius": lambda N: DirichletSeries(moebius_fn.values(N)),
+    "identity_shift": lambda N: DirichletSeries(identity_fn.inverse().values(N)),
+}
 
 
 def named_series(name: str, upto: int) -> DirichletSeries:
+    """The named series to depth upto, each read off the convolution algebra:
+
+    - zeta: zeta(n) = 1 for every n;
+    - zeta_squared: zeta * zeta, whose coefficient at n is the number of
+      divisors of n;
+    - ordered_factorizations: 1/(2 - zeta), the inverse of (1, -1, -1, ...),
+      whose coefficient at n counts the ordered factorizations of n;
+    - lambda: (1 - 2^-s) zeta(s), the indicator of odd n;
+    - moebius: zeta^-1, the Moebius function mu;
+    - identity_shift: the inverse of n -> n, which is the antipode n mu(n).
+    """
     if upto < 1:
         raise ValueError("truncation depth must be at least 1")
-    if name == "zeta":
-        return DirichletSeries([1] * upto)
-    if name == "zeta_squared":
-        return DirichletSeries([len(divisors(n)) for n in range(1, upto + 1)])
-    if name == "ordered_factorizations":
-        # 1/(2 - zeta): invert the vector (1, -1, -1, ...)
-        two_minus_zeta = DirichletSeries([1] + [-1] * (upto - 1))
-        return series_inverse(two_minus_zeta)
-    if name == "lambda":
-        return DirichletSeries([n % 2 for n in range(1, upto + 1)])
-    if name == "moebius":
-        return DirichletSeries([moebius(n) for n in range(1, upto + 1)])
-    if name == "identity_shift":
-        return DirichletSeries([n * moebius(n) for n in range(1, upto + 1)])
-    raise ValueError(f"unknown series name {name!r}; expected one of {_NAMES}")
+    if name not in _SERIES:
+        raise ValueError(f"unknown series name {name!r}; expected one of {tuple(_SERIES)}")
+    return _SERIES[name](upto)
 
 
 def series_add(f: DirichletSeries, g: DirichletSeries) -> DirichletSeries:
@@ -149,12 +154,7 @@ def character_is_completely_multiplicative(chi: list[Scalar], upto: int) -> bool
     chi(nm) = chi(n)chi(m) on 1..upto?  Callers remain responsible for
     choosing genuine characters; this only reports.
     """
-    f = l_series(chi, upto * upto)
-    return all(
-        f[n * m] == f[n] * f[m]
-        for n in range(1, upto + 1)
-        for m in range(n, upto + 1)
-    )
+    return ArithFn(l_series(chi, upto * upto).__getitem__).is_completely_multiplicative(upto)
 
 
 def hurwitz_coeffs(k: int, upto: int) -> list[int]:
@@ -175,13 +175,11 @@ def lambert_moebius_check(upto: int) -> bool:
     if upto < 1:
         raise ValueError("need depth >= 1")
     acc = [0] * (upto + 1)  # index = power of x
-    for n in range(1, upto + 1):
-        mu = moebius(n)
-        if mu == 0:
-            continue
-        # x^n/(1-x^n) contributes x^(n*j) for j >= 1
-        for power in range(n, upto + 1, n):
-            acc[power] += mu
+    for n, mu in enumerate(moebius_fn.values(upto), 1):
+        if mu:
+            # x^n/(1-x^n) contributes x^(n*j) for j >= 1
+            for power in range(n, upto + 1, n):
+                acc[power] += mu
     return acc[0] == 0 and acc[1] == 1 and all(c == 0 for c in acc[2:])
 
 

@@ -76,6 +76,18 @@ def test_cocycle_probe(capsys):
         (0, "1-cocycle through 6\n", "")
 
 
+@pytest.mark.parametrize("name", ["zeta", "moebius", "identity", "liouville", "unit", "id2", "id3"])
+def test_cocycle_scans_the_triangle_like_the_full_grid(capsys, name):
+    # the command scans m >= n only; a full row-major scan must agree
+    phi = cli._arith_fn(name)
+    for upto in (2, 30):
+        grid = ((n, m) for n in range(1, upto + 1) for m in range(1, upto + 1))
+        first = next((f"deviates at ({n}, {m}): {got}\n" for n, m in grid
+                      if (got := dirichlet.coboundary2_mul(phi, n, m)) != int(n == m == 1)),
+                     f"1-cocycle through {upto}\n")
+        assert run(capsys, "cocycle", "--phi", name, "--upto", str(upto)) == (0, first, "")
+
+
 def test_branch_operators(capsys):
     assert run(capsys, "branch", "sub", "3", "10") == (0, "7\n", "")
     assert run(capsys, "branch", "sub", "12", "5") == (0, "0\n", "")

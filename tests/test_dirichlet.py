@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from natalg import dirichlet as dh
 from natalg.linear import LinComb
-from natalg.nat import divisors, factorize, moebius, omega_grade
+from natalg.nat import divisors, factorize, moebius, moebius_sieve, omega_grade
 from test_exactness import brute_inverse
 
 
@@ -86,8 +86,33 @@ def test_antipode_checks_can_be_disabled():
 
 
 def test_moebius_inverse_is_zeta():
-    inv = dh.moebius_fn.inverse()
+    # a fresh mu, whose inverse is pulled through the divisor recursion
+    inv = dh.ArithFn(moebius, "moebius").inverse()
     assert [inv(n) for n in range(1, 30)] == [1] * 29
+
+
+def test_zeta_and_moebius_are_one_inverse_pair():
+    assert dh.zeta.inverse() is dh.moebius_fn
+    assert dh.moebius_fn.inverse() is dh.zeta
+    assert dh.zeta._inverts is None  # only mu is solved from zeta
+
+
+def test_a_range_of_moebius_is_solved_from_zeta(monkeypatch):
+    def closed_form(n):
+        raise AssertionError(f"mu({n}) evaluated on its own inside a range")
+
+    monkeypatch.setattr(dh.moebius_fn, "_fn", closed_form)
+    want = moebius_sieve(10**4)[1:]
+    assert dh.moebius_fn.values(10**4) == want == [moebius(n) for n in range(1, 10**4 + 1)]
+    upto = len(dh.moebius_fn._vals) + 500  # a stretch no earlier call has solved
+    assert dh.moebius_fn.values(upto) == moebius_sieve(upto)[1:]
+
+
+def test_an_isolated_moebius_value_keeps_the_closed_form():
+    n = 963761198400  # 6,720 divisors: a pull through them would store each
+    before = len(dh.moebius_fn._cache)
+    assert dh.moebius_fn(n) == 0
+    assert len(dh.moebius_fn._cache) <= before + 1
 
 
 @given(st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=40))

@@ -33,6 +33,18 @@ def test_named_series_values():
         sr.named_series("nope", 5)
 
 
+def test_named_series_read_the_convolution_algebra():
+    N = 2000
+    counts = [0] * (N + 1)
+    for d in range(1, N + 1):
+        for m in range(d, N + 1, d):
+            counts[m] += 1
+    mu = [moebius(n) for n in range(1, N + 1)]
+    assert list(sr.named_series("zeta_squared", N).coeffs) == counts[1:]
+    assert list(sr.named_series("moebius", N).coeffs) == mu
+    assert list(sr.named_series("identity_shift", N).coeffs) == [n * m for n, m in enumerate(mu, 1)]
+
+
 def brute_ordered_factorizations(n):
     if n == 1:
         return 1
